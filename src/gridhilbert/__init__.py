@@ -66,7 +66,6 @@ from .linalg import (
 )
 from .shattering import (
     MonomialDownset,
-    b_star,
     downset_size,
     is_downward_closed,
     ord_str,

@@ -51,7 +51,7 @@ def _parse_points(text: str) -> tuple[Point, ...]:
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     grid = parse_grid(args.grid)
-    E = parse_weight_set(args.set)
+    E = parse_weight_set(args.set, grid)
     closed = _hilbert.hilbert_closed(grid, args.degree, E)
     oracle = _hilbert.hilbert_rank_oracle(grid, args.degree, E)
     matrix = None
@@ -94,7 +94,7 @@ def _cmd_layer_sizes(args: argparse.Namespace) -> int:
 
 def _cmd_be_enum(args: argparse.Namespace) -> int:
     grid = parse_grid(args.grid)
-    E = parse_weight_set(args.set)
+    E = parse_weight_set(args.set, grid)
     enum = _hilbert.be_enumeration(grid.max_weight, args.degree, E)
     if args.json:
         print(
@@ -118,7 +118,7 @@ def _cmd_be_enum(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     grid = parse_grid(args.grid)
-    E = parse_weight_set(args.set)
+    E = parse_weight_set(args.set, grid)
     pairs = _hilbert.hilbert_profile(args.degree, E)
     value = _hilbert.profile_value(grid, args.degree, E)
     if args.json:
@@ -142,7 +142,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_closure(args: argparse.Namespace) -> int:
     grid = parse_grid(args.grid)
-    E = parse_weight_set(args.set)
+    E = parse_weight_set(args.set, grid)
     report = _closure.closure_report(grid, args.degree, E)
     agree = report.lbar == report.zstar
     if args.json:
@@ -173,7 +173,7 @@ def _downset_command(args: argparse.Namespace, kind: str) -> int:
     if (args.set is None) == (args.points is None):
         raise ParseError("provide exactly one of --set and --points")
     if args.set is not None:
-        points = grid.unfold(parse_weight_set(args.set))
+        points = grid.unfold(parse_weight_set(args.set, grid))
     else:
         points = _parse_points(args.points)
     if kind == "sm":

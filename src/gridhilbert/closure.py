@@ -17,24 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import DegreeOutOfRange, WeightOutOfRange
+from .errors import WeightOutOfRange
 from .grid import Point, UniformGrid
+from .hilbert import _check_degree, _check_weight_set
 from .linalg import _eliminate, falling_factorial_value
-
-
-def _check_degree(d: int, top: int) -> int:
-    if not isinstance(d, int) or not 0 <= d <= top:
-        raise DegreeOutOfRange(f"degree {d!r} outside [0, {top}]")
-    return d
-
-
-def _check_weight_set(members: Iterable[int], top: int) -> tuple[int, ...]:
-    out = set()
-    for w in members:
-        if not isinstance(w, int) or not 0 <= w <= top:
-            raise WeightOutOfRange(f"weight {w!r} outside [0, {top}]")
-        out.add(w)
-    return tuple(sorted(out))
 
 
 def l_step(N: int, d: int, E: Iterable[int]) -> frozenset[int]:

@@ -69,11 +69,12 @@ class UniformGrid:
         return itertools.product(*(range(k) for k in self.arities))
 
     def __contains__(self, point: object) -> bool:
-        if not isinstance(point, tuple) or len(point) != self.dimension:
+        if not isinstance(point, tuple) or len(point) != len(self.arities):
             return False
-        return all(
-            isinstance(a, int) and 0 <= a < k for a, k in zip(point, self.arities)
-        )
+        for a, k in zip(point, self.arities):
+            if not isinstance(a, int) or not 0 <= a < k:
+                return False
+        return True
 
     def check_point(self, point: Iterable[int]) -> Point:
         p = tuple(point)
@@ -133,19 +134,6 @@ class UniformGrid:
             value = value * base + a
         return value
 
-    def lex_predecessor(self, point: Iterable[int]) -> Point | None:
-        """Mixed-radix decrement; None for the all-zeros point."""
-        p = list(self.check_point(point))
-        i = len(p) - 1
-        while i >= 0 and p[i] == 0:
-            i -= 1
-        if i < 0:
-            return None
-        p[i] -= 1
-        for j in range(i + 1, len(p)):
-            p[j] = self.arities[j] - 1
-        return tuple(p)
-
     def is_su2(self) -> bool:
         """Strictly unimodal with a flat middle pair: sizes strictly increase
         up to floor(N/2), sizes[floor(N/2)] == sizes[ceil(N/2)], and strictly
@@ -178,26 +166,28 @@ def parse_grid(text: str) -> UniformGrid:
     return make_grid(int(part) for part in parts)
 
 
-def parse_weight_set(text: str) -> tuple[int, ...]:
-    """Parse a weight set such as '0,2-4,7' into a sorted tuple.
+def parse_weight_set(text: str, grid: UniformGrid) -> tuple[int, ...]:
+    """Parse a weight set of the grid such as '0,2-4,7' into a sorted tuple.
 
     Tokens are nonnegative integers or inclusive dash ranges; the empty
-    string denotes the empty set.
+    string denotes the empty set.  Every token is checked against the
+    grid's weights before any range is expanded, and the smallest weight
+    outside them is the one reported.
     """
     text = text.strip()
     if not text:
         return ()
-    out: set[int] = set()
+    spans = []
     for token in text.split(","):
         token = token.strip()
         lo, dash, hi = token.partition("-")
         if not lo.isdigit() or (dash and not hi.isdigit()):
             raise ParseError(f"bad weight-set token {token!r}")
-        if dash:
-            a, b = int(lo), int(hi)
-            if a > b:
-                raise ParseError(f"bad weight-set token {token!r}: empty range")
-            out.update(range(a, b + 1))
-        else:
-            out.add(int(lo))
-    return tuple(sorted(out))
+        a, b = int(lo), int(hi if dash else lo)
+        if a > b:
+            raise ParseError(f"bad weight-set token {token!r}: empty range")
+        spans.append((a, b))
+    for a, b in sorted(spans):
+        if b > grid.max_weight:
+            grid.check_weight(max(a, grid.max_weight + 1))
+    return tuple(sorted({w for a, b in spans for w in range(a, b + 1)}))

@@ -12,6 +12,14 @@ copy of tau(b) removed.  On binary coordinates both recursion targets
 coincide and the cut forces the upper part to contain tau(b) and the
 lower part to avoid it, which is the classical set-family notion.
 
+The recursion runs on bitmasks: bit i of a Python int stands for the
+i-th grid point in lex order.  Per coordinate t, a grid's tables hold
+the masks G of the tail groups (points sharing a[t+1:]) and the cut
+masks {a : a[t] < v} for v = 1 .. k_t - 1.  A group of S is S & G, its
+size a popcount, and its cuts are tried by ascending v, skipping a cut
+whose lower part repeats the previous one and stopping once the lower
+part is the whole group.  The memo lives for one call.
+
 Standard monomials are computed by a separate route with no shattering
 in it: scan the monomials X^alpha for alpha in the grid in ascending
 lex order and keep those whose evaluation column over A is independent
@@ -22,6 +30,7 @@ this package rather than an assumption of the code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -38,15 +47,6 @@ def tau(b: Iterable[int]) -> int:
         if b[i] >= 1:
             return i + 1
     raise EmptyMultiset("the all-zero multiset has no largest element")
-
-
-def b_star(grid: UniformGrid, b: Iterable[int]) -> Point:
-    """Mask for the tail beyond tau(b): zero through tau(b), full afterwards."""
-    b = grid.check_point(b)
-    t = tau(b)
-    return tuple(
-        0 if i < t else grid.arities[i] - 1 for i in range(grid.dimension)
-    )
 
 
 def downset_size(b: Iterable[int]) -> int:
@@ -82,63 +82,79 @@ def is_downward_closed(points: Iterable[Point]) -> bool:
     return True
 
 
-def _shatters(
-    S: frozenset[Point],
-    b: Point,
-    memo: dict[tuple[frozenset[Point], Point], bool],
-) -> bool:
-    if not any(b):
-        return bool(S)
-    need = downset_size(b)
-    if len(S) < need:
+# Per-grid cache bound: a sweep uses one grid at a time, a query run few.
+_GRID_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _shatter_tables(grid: UniformGrid) -> tuple[dict[Point, int], tuple]:
+    """Bit of each point, and per multiset b, indexed like the points, its
+    downset size, the group and cut masks of t = tau(b) - 1, and the
+    indices of b with b[t] lowered to 0 and to b[t] - 1."""
+    n = grid.size
+    tables = []
+    for t, k in enumerate(grid.arities):
+        s = math.prod(grid.arities[t + 1 :])
+        groups = tuple(sum(1 << i for i in range(r, n, s)) for r in range(s))
+        cuts = tuple(sum(1 << i for i in range(n) if i // s % k < v) for v in range(1, k))
+        tables.append((s, groups, cuts))
+    bit = {p: i for i, p in enumerate(grid.points())}
+    steps: list[tuple | None] = [None]
+    for b, j in list(bit.items())[1:]:
+        t = tau(b) - 1
+        s, groups, cuts = tables[t]
+        steps.append((downset_size(b), groups, cuts, j - b[t] * s, j - s))
+    return bit, tuple(steps)
+
+
+def _shatters(steps: tuple, S: int, j: int, memo: dict[tuple[int, int], bool]) -> bool:
+    """Whether the point set with mask S order-shatters the multiset of index j."""
+    if not j:
+        return S != 0
+    need, groups, cuts, j_deleted, j_removed = steps[j]
+    if S.bit_count() < need:
         return False
-    key = (S, b)
-    cached = memo.get(key)
-    if cached is not None:
+    if (cached := memo.get((S, j))) is not None:
         return cached
-    t = tau(b) - 1
-    b_deleted = b[:t] + (0,) + b[t + 1 :]
-    b_removed = b[:t] + (b[t] - 1,) + b[t + 1 :]
-    by_tail: dict[tuple[int, ...], list[Point]] = {}
-    for a in S:
-        by_tail.setdefault(a[t + 1 :], []).append(a)
-    result = False
-    for group in by_tail.values():
-        if len(group) < need:
+    for G in groups:
+        group = S & G
+        if group.bit_count() < need:
             continue
-        group.sort(key=lambda a: a[t])
-        cuts = sorted({a[t] for a in group})
-        for v in cuts[1:]:
-            lower = frozenset(a for a in group if a[t] < v)
-            upper = frozenset(a for a in group if a[t] >= v)
-            if _shatters(upper, b_deleted, memo) and _shatters(
-                lower, b_removed, memo
-            ):
-                result = True
+        prev = 0
+        for cut in cuts:
+            lower = group & cut
+            if lower == prev:
+                continue
+            if lower == group:
                 break
-        if result:
-            break
-    memo[key] = result
-    return result
+            prev = lower
+            if _shatters(steps, group ^ lower, j_deleted, memo) and _shatters(
+                steps, lower, j_removed, memo
+            ):
+                memo[S, j] = True
+                return True
+    memo[S, j] = False
+    return False
 
 
 def order_shatters(grid: UniformGrid, A: Iterable[Point], b: Iterable[int]) -> bool:
     """Whether the point set A order-shatters the multiset b."""
-    pts = frozenset(grid.check_point(p) for p in A)
-    b = grid.check_point(b)
-    return _shatters(pts, b, {})
+    bit, steps = _shatter_tables(grid)
+    S = sum({1 << bit[grid.check_point(p)] for p in A})
+    return _shatters(steps, S, bit[grid.check_point(b)], {})
 
 
 def ord_str(grid: UniformGrid, A: Iterable[Point]) -> MonomialDownset:
     """All multisets the point set order-shatters."""
-    pts = frozenset(grid.check_point(p) for p in A)
-    memo: dict[tuple[frozenset[Point], Point], bool] = {}
+    bit, steps = _shatter_tables(grid)
+    S = sum({1 << bit[grid.check_point(p)] for p in A})
+    memo: dict[tuple[int, int], bool] = {}
     return MonomialDownset(
-        frozenset(b for b in grid.points() if _shatters(pts, b, memo))
+        frozenset(b for b, j in bit.items() if _shatters(steps, S, j, memo))
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _monomial_rows(grid: UniformGrid) -> dict[Point, tuple[int, ...]]:
     """Per point, the values of every grid monomial at it, in lex order."""
     exponents = tuple(grid.points())

@@ -170,6 +170,15 @@ def test_bad_grid_and_bad_degree(capsys):
     assert "PointNotInGrid" in err
 
 
+def test_huge_weight_range_fails_before_expansion(capsys):
+    code, out, err = _run(
+        capsys, "hilbert", "--grid", "3,3", "--degree", "1", "--set", "0-3000000"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "WeightOutOfRange: weight 5 outside [0, 4]\n"
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--grid", "3,3"])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -85,6 +86,27 @@ def test_contains_and_check_point():
         grid.check_point((0, 3))
 
 
+def test_contains_accepts_only_int_tuples_inside_the_ranges():
+    grid = make_grid((2, 3))
+    for point in [(0, 0), (1, 2), (True, 0), (0, True)]:
+        assert point in grid
+    for point in [
+        (1.0, 0),
+        (0, 2.0),
+        (-1, 0),
+        (0, -1),
+        (2, 0),
+        (0, 3),
+        (),
+        (0,),
+        (0, 0, 0),
+        [0, 0],
+        "00",
+        None,
+    ]:
+        assert point not in grid
+
+
 def test_lex_weight_sorts_like_tuples():
     """Ranking by lex_weight must agree with coordinate-wise comparison."""
     for arities in [(3, 3), (2, 4), (2, 3, 2)]:
@@ -93,14 +115,6 @@ def test_lex_weight_sorts_like_tuples():
         ranks = [grid.lex_weight(p) for p in pts]
         assert len(set(ranks)) == len(pts)
         assert sorted(pts, key=grid.lex_weight) == sorted(pts)
-
-
-def test_lex_predecessor_walks_the_whole_grid():
-    grid = make_grid((2, 3, 2))
-    pts = sorted(grid.points())
-    assert grid.lex_predecessor(pts[0]) is None
-    for before, after in zip(pts, pts[1:]):
-        assert grid.lex_predecessor(after) == before
 
 
 def test_su2_classification():
@@ -124,13 +138,33 @@ def test_spec_and_parse_round_trip():
 
 
 def test_parse_weight_set():
-    assert parse_weight_set("0,2-4,7") == (0, 2, 3, 4, 7)
-    assert parse_weight_set("3") == (3,)
-    assert parse_weight_set("") == ()
-    assert parse_weight_set("4,1,1") == (1, 4)
+    grid = make_grid((8,))
+    assert parse_weight_set("0,2-4,7", grid) == (0, 2, 3, 4, 7)
+    assert parse_weight_set("3", grid) == (3,)
+    assert parse_weight_set("", grid) == ()
+    assert parse_weight_set("4,1,1", grid) == (1, 4)
     with pytest.raises(ParseError):
-        parse_weight_set("2-")
+        parse_weight_set("2-", grid)
     with pytest.raises(ParseError):
-        parse_weight_set("5-3")
+        parse_weight_set("5-3", grid)
     with pytest.raises(ParseError):
-        parse_weight_set("a")
+        parse_weight_set("a", grid)
+
+
+def test_parse_weight_set_bounds_tokens_by_the_grid():
+    grid = make_grid((3, 3))
+    assert parse_weight_set("0-4", grid) == (0, 1, 2, 3, 4)
+    for text, smallest in [("5", 5), ("7,0-9", 5), ("3-4,9,6-8", 6), ("0-3000000", 5)]:
+        message = rf"^weight {smallest} outside \[0, 4\]$"
+        with pytest.raises(WeightOutOfRange, match=message):
+            parse_weight_set(text, grid)
+    with pytest.raises(ParseError):
+        parse_weight_set("0-3000000,x", grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WeightOutOfRange):
+            parse_weight_set("0-3000000", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

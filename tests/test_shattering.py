@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridhilbert import (
     EmptyMultiset,
     PointNotInGrid,
-    b_star,
     downset_size,
     is_downward_closed,
     make_grid,
@@ -14,6 +16,7 @@ from gridhilbert import (
     order_shatters,
     standard_monomials,
     tau,
+    verification_family,
 )
 
 
@@ -26,16 +29,6 @@ def test_tau():
         tau((0, 0))
     with pytest.raises(EmptyMultiset):
         tau(())
-
-
-def test_b_star():
-    grid = make_grid((3, 3))
-    assert b_star(grid, (1, 0)) == (0, 2)
-    assert b_star(grid, (0, 1)) == (0, 0)
-    grid = make_grid((2, 3, 4))
-    assert b_star(grid, (1, 0, 0)) == (0, 2, 3)
-    with pytest.raises(PointNotInGrid):
-        b_star(make_grid((2, 2)), (2, 0))
 
 
 def test_downset_size():
@@ -104,6 +97,56 @@ def test_routes_agree_exhaustively():
             assert shattered == set(standard_monomials(grid, A))
             assert len(shattered) == len(A)
             assert is_downward_closed(shattered)
+
+
+def _reference_shatters(S, b, memo):
+    """Order shattering on frozensets of points, straight from the definition."""
+    if not any(b):
+        return bool(S)
+    need = downset_size(b)
+    if len(S) < need:
+        return False
+    key = (S, b)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    t = tau(b) - 1
+    b_deleted = b[:t] + (0,) + b[t + 1 :]
+    b_removed = b[:t] + (b[t] - 1,) + b[t + 1 :]
+    by_tail = {}
+    for a in S:
+        by_tail.setdefault(a[t + 1 :], []).append(a)
+    result = False
+    for group in by_tail.values():
+        if len(group) < need:
+            continue
+        cuts = sorted({a[t] for a in group})
+        for v in cuts[1:]:
+            lower = frozenset(a for a in group if a[t] < v)
+            upper = frozenset(a for a in group if a[t] >= v)
+            if _reference_shatters(upper, b_deleted, memo) and _reference_shatters(
+                lower, b_removed, memo
+            ):
+                result = True
+                break
+        if result:
+            break
+    memo[key] = result
+    return result
+
+
+def test_bitmask_recursion_matches_frozenset_reference():
+    """ord_str and order_shatters against the frozenset recursion, every subset."""
+    for arities in [(2, 3), (3, 3)]:
+        grid = make_grid(arities)
+        pts = list(grid.points())
+        for mask in range(1 << len(pts)):
+            A = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
+            memo = {}
+            expected = {b for b in pts if _reference_shatters(A, b, memo)}
+            assert set(ord_str(grid, A)) == expected
+            for b in pts:
+                assert order_shatters(grid, list(A) * 2, b) == (b in expected)
 
 
 def test_routes_agree_random_larger_grids():
@@ -187,3 +230,31 @@ def test_is_downward_closed():
     assert is_downward_closed([(0, 0), (0, 1), (1, 0)])
     assert not is_downward_closed([(0, 1)])
     assert not is_downward_closed([(0, 0), (1, 1)])
+
+
+# Every arity order with an arity of 5 or 6, or four coordinates not all
+# binary, and at most 40 points: none of these is in the verification family.
+_FAMILY = {grid.arities for grid in verification_family()}
+_OUTSIDE_FAMILY = [
+    arities
+    for dim in range(1, 5)
+    for arities in itertools.product(range(2, 7), repeat=dim)
+    if math.prod(arities) <= 40 and tuple(sorted(arities)) not in _FAMILY
+]
+
+
+@st.composite
+def _grid_and_points(draw):
+    grid = make_grid(draw(st.sampled_from(_OUTSIDE_FAMILY)))
+    pool = st.sampled_from(list(grid.points()))
+    points = draw(st.lists(pool, max_size=10, unique=True))
+    return grid, points
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_grid_and_points())
+def test_routes_agree_on_grids_outside_the_family(case):
+    grid, A = case
+    shattered = ord_str(grid, A)
+    assert shattered.members == standard_monomials(grid, A).members
+    assert len(shattered) == len(A)
