@@ -19,7 +19,6 @@ from .closure import (
 )
 from .errors import (
     AritySmallerThanTwo,
-    BadPermutation,
     DegreeOutOfRange,
     DuplicateEntries,
     EmptyArities,
@@ -60,7 +59,6 @@ from .linalg import (
     eval_matrix_points,
     factorial_diag,
     falling_factorial_value,
-    pivot_columns_in_order,
     rank,
     up_matrix,
 )

@@ -2,25 +2,24 @@
 
 Two routes to the same object.  The brute-force route declares a point
 x closed into A when no polynomial of degree at most d vanishing on A
-separates x, i.e. when appending the evaluation column of x does not
-increase the rank of the degree-<=d evaluation matrix of A; applied
-layerwise this gives the weight-set closure.  The combinatorial route
-iterates an interval-filling step operator on the weight set until it
-stabilizes.  On grids whose layer-size table is strictly unimodal with
-a flat middle pair the two routes agree, and the package keeps both so
-the agreement is observable rather than assumed.
+separates x, i.e. when the evaluation column of x under the falling
+factorials of weight <= d lies in the exact span (linalg.Span) of the
+columns of A; applied layerwise this gives the weight-set closure.  The
+combinatorial route iterates an interval-filling step operator on the
+weight set until it stabilizes.  On grids whose layer-size table is
+strictly unimodal with a flat middle pair the two routes agree, and the
+package keeps both so the agreement is observable rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import WeightOutOfRange
 from .grid import Point, UniformGrid
 from .hilbert import _check_degree, _check_weight_set
-from .linalg import _eliminate, falling_factorial_value
+from .linalg import Span, eval_columns
 
 
 def l_step(N: int, d: int, E: Iterable[int]) -> frozenset[int]:
@@ -64,57 +63,22 @@ def t_set(N: int, i: int) -> frozenset[int]:
     return frozenset(range(i)) | frozenset(range(N - i + 1, N + 1))
 
 
-@lru_cache(maxsize=None)
-def _low_degree_exponents(grid: UniformGrid, d: int) -> tuple[Point, ...]:
-    return grid.unfold(range(d + 1))
-
-
-@lru_cache(maxsize=None)
-def _eval_columns(grid: UniformGrid, d: int) -> dict[Point, tuple[int, ...]]:
-    """Per point, its evaluations under every falling-factorial of weight <= d."""
-    rows = _low_degree_exponents(grid, d)
-    return {
-        x: tuple(falling_factorial_value(alpha, x) for alpha in rows)
-        for x in grid.points()
-    }
-
-
 class _MembershipTester:
-    """Rank-increase test against a fixed point set, factored for reuse.
+    """Rank-increase test against a fixed point set.
 
-    A basis of the coefficient vectors of all degree-<=d relations
-    vanishing on the set is extracted once by fraction-free elimination
-    of the evaluation matrix augmented with an identity block; a point
-    then fails to enlarge the rank exactly when its evaluation column is
-    orthogonal to every basis vector.
+    The evaluation columns of the set span a linalg.Span; a point fails to
+    enlarge the rank exactly when it is in the set, the span is already
+    full, or its own evaluation column lies in the span.
     """
 
     def __init__(self, grid: UniformGrid, d: int, points: tuple[Point, ...]):
-        columns = _eval_columns(grid, d)
-        n_funcs = len(_low_degree_exponents(grid, d))
-        n_pts = len(points)
-        aug = []
-        for i in range(n_funcs):
-            row = [columns[p][i] for p in points] + [0] * n_funcs
-            row[n_pts + i] = 1
-            aug.append(row)
-        r, _ = _eliminate(aug, range(n_pts), range(n_pts, n_pts + n_funcs))
-        self._null = [row[n_pts:] for row in aug[r:]]
-        self._columns = columns
+        self._columns = eval_columns(grid, d)
+        self._span = Span(len(next(iter(self._columns.values()))))
+        self._span.extend(self._columns[p] for p in points)
         self._members = set(points)
 
     def contains(self, x: Point) -> bool:
-        if x in self._members:
-            return True
-        v = self._columns[x]
-        for y in self._null:
-            s = 0
-            for yi, vi in zip(y, v):
-                if yi and vi:
-                    s += yi * vi
-            if s:
-                return False
-        return True
+        return x in self._members or self._columns[x] in self._span
 
 
 def z_closure_points(

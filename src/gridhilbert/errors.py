@@ -34,10 +34,6 @@ class LengthMismatch(GridError):
     """Two aligned sequences disagree in length."""
 
 
-class BadPermutation(GridError):
-    """A column scan order is not a permutation of the column indices."""
-
-
 class DuplicateEntries(GridError):
     """A sequence that must be duplicate-free repeats a value."""
 

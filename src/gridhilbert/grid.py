@@ -161,7 +161,7 @@ def make_grid(arities: Iterable[int]) -> UniformGrid:
 def parse_grid(text: str) -> UniformGrid:
     """Parse a comma-separated arity list such as '3,3'."""
     parts = [t.strip() for t in text.split(",")]
-    if not all(part.isdigit() for part in parts):
+    if not all(part.isdecimal() for part in parts):
         raise ParseError(f"bad grid spec {text!r}: expected comma-separated integers")
     return make_grid(int(part) for part in parts)
 
@@ -181,7 +181,7 @@ def parse_weight_set(text: str, grid: UniformGrid) -> tuple[int, ...]:
     for token in text.split(","):
         token = token.strip()
         lo, dash, hi = token.partition("-")
-        if not lo.isdigit() or (dash and not hi.isdigit()):
+        if not lo.isdecimal() or (dash and not hi.isdecimal()):
             raise ParseError(f"bad weight-set token {token!r}")
         a, b = int(lo), int(hi if dash else lo)
         if a > b:

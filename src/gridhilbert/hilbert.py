@@ -5,8 +5,9 @@ polynomials of degree at most d has a closed form: layers of weight at
 most d contribute their full size, and the remaining layers are matched
 against the unused weights of [0, d], largest against smallest, each
 pair contributing the smaller layer size.  The rank oracle computes the
-same dimension directly as a matrix rank and exists so the closed form
-is checkable instance by instance.
+same dimension directly as the rank of the points' falling-factorial
+evaluation columns, added one by one to an exact linalg.Span, and exists
+so the closed form is checkable instance by instance.
 """
 
 from __future__ import annotations
@@ -94,7 +95,10 @@ def hilbert_rank_oracle(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
     """The same dimension as an exact matrix rank, computed independently."""
     _check_degree(d, grid.max_weight)
     E = _check_weight_set(E, grid.max_weight)
-    return linalg.rank(linalg.eval_matrix(grid, range(d + 1), E)).rank
+    columns = linalg.eval_columns(grid, d)
+    span = linalg.Span(len(next(iter(columns.values()))))
+    span.extend(columns[x] for x in grid.unfold(E))
+    return span.rank
 
 
 def hilbert_cube_closed(n: int, d: int, E: Iterable[int]) -> int:
@@ -169,7 +173,16 @@ def rank_block(
     grid: UniformGrid, row_weights: Iterable[int], col_weights: Iterable[int]
 ) -> int:
     """Exact rank of the evaluation matrix between two weight-determined sets."""
-    return linalg.rank(linalg.eval_matrix(grid, row_weights, col_weights)).rank
+    rows = grid.check_weights(row_weights)
+    points = grid.unfold(col_weights)
+    if not rows:
+        return 0
+    exponents = grid.unfold(range(rows[-1] + 1))
+    picks = [i for i, alpha in enumerate(exponents) if sum(alpha) in rows]
+    columns = linalg.eval_columns(grid, rows[-1])
+    span = linalg.Span(len(picks))
+    span.extend([columns[x][i] for i in picks] for x in points)
+    return span.rank
 
 
 def profile_value(grid: UniformGrid, d: int, E: Iterable[int]) -> int:

@@ -1,23 +1,34 @@
-"""Exact dense matrices over the rationals and fraction-free rank.
+"""Exact integer linear algebra: one incremental span kernel and exact matrices.
 
-Matrices carry grid points as row and column labels.  Entries are ints
-or fractions.Fraction; nothing here ever rounds.  Rank is computed by
-integer-preserving (Bareiss) elimination after clearing denominators
-row by row, with pivot columns chosen greedily left to right so the
-pivot set is deterministic.
+Every exact rank question of the package goes through Span, an
+incremental fraction-free (Bareiss) span of integer vectors: the rank
+oracle and the block ranks add evaluation columns to it, the closure
+tester asks whether a column lies in it, and the footprint scan keeps
+the monomial columns that enlarge it.  Nothing here ever rounds.  The
+evaluation columns of a grid and degree are cached.  ExactMatrix holds
+dense int or Fraction matrices with grid-point labels for the matrix
+dumps, the up-rank and factorization suites and the demos; its rank
+clears denominators row by row and adds the columns left to right to a
+Span, so the pivot set is the greedy column basis.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from functools import lru_cache
+from math import factorial, lcm, perm
 from typing import Iterable, Sequence
 
-from .errors import BadPermutation, DuplicateEntries, LengthMismatch
+from .errors import DuplicateEntries, LengthMismatch
 from .grid import Point, UniformGrid
 
 Entry = int | Fraction
+
+# Cache bound per grid, or per grid and degree: a sweep uses one grid at a
+# time, with at most 8 degrees in the default family, and a query run few.
+_GRID_CACHE_SIZE = 8
 
 
 def falling_factorial_value(alpha: Sequence[int], beta: Sequence[int]) -> int:
@@ -69,13 +80,6 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Entry:
         return self.entries[i][j]
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.col_labels,
-            self.row_labels,
-            tuple(zip(*self.entries)) if self.entries else (),
-        )
-
     def scale(self, c: Entry) -> "ExactMatrix":
         return ExactMatrix(
             self.row_labels,
@@ -105,49 +109,68 @@ class RankResult:
     pivot_cols: tuple[int, ...]
 
 
-def _eliminate(
-    rows: list[list[int]],
-    scan_cols: Sequence[int],
-    passive_cols: Sequence[int] = (),
-) -> tuple[int, list[int]]:
-    """Fraction-free elimination in place; returns (rank, pivot columns).
+class Span:
+    """Exact span of integer vectors of one length, grown one vector at a time.
 
-    Pivots are chosen greedily over scan_cols in order.  The Bareiss
-    two-term update with exact division by the previous pivot is applied
-    uniformly to every remaining row, including rows whose leading entry
-    is already zero, which is what keeps later divisions exact.  Entries
-    in passive_cols are carried through the same updates but never used
-    as pivots (used for augmented null-space columns).
+    Each stored row is an added vector after reduction by the rows stored
+    before it, with Bareiss's two-term update v = (p*v - v[c]*row) // prev,
+    where c and p are the row's pivot position and entry and prev is the
+    previous row's pivot entry (1 for the first row).  The update is
+    applied to every entry, also when v[c] == 0, so every entry stays a
+    minor of the vectors seen so far whatever the pivot positions, and by
+    Sylvester's identity each division is exact.
     """
-    m = len(rows)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for idx, c in enumerate(scan_cols):
-        if r == m:
-            break
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        update = list(scan_cols[idx + 1 :]) + list(passive_cols)
-        for i in range(r + 1, m):
-            row = rows[i]
-            f = row[c]
-            for k in update:
-                row[k] = (piv * row[k] - f * prow[k]) // prev
-            row[c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-    return r, pivots
+
+    __slots__ = ("length", "_rows")
+
+    def __init__(self, length: int) -> None:
+        self.length = length
+        self._rows: list[tuple[int, list[int]]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v: Sequence[int]) -> list[int]:
+        if len(v) != self.length:
+            raise LengthMismatch(f"vector length {len(v)} != span length {self.length}")
+        v = list(v)
+        prev = 1
+        for c, row in self._rows:
+            p = row[c]
+            f = v[c]
+            if f:
+                v = [(p * a - f * b) // prev for a, b in zip(v, row)]
+            elif p != prev:
+                v = [p * a // prev for a in v]
+            prev = p
+        return v
+
+    def add(self, v: Sequence[int]) -> int | None:
+        """Store v; its pivot position, or None when v is already in the span."""
+        if len(self._rows) == self.length:
+            return None
+        v = self._reduce(v)
+        for c, a in enumerate(v):
+            if a:
+                self._rows.append((c, v))
+                return c
+        return None
+
+    def __contains__(self, v: Sequence[int]) -> bool:
+        return len(self._rows) == self.length or not any(self._reduce(v))
+
+    def extend(self, vectors: Iterable[Sequence[int]]) -> list[int]:
+        """Add vectors in order until the span is full; the positions kept."""
+        kept: list[int] = []
+        if len(self._rows) == self.length:
+            return kept
+        for i, v in enumerate(vectors):
+            if self.add(v) is not None:
+                kept.append(i)
+                if len(self._rows) == self.length:
+                    break
+        return kept
 
 
 def _integer_rows(entries: Iterable[Iterable[Entry]]) -> list[list[int]]:
@@ -170,26 +193,33 @@ def rank(matrix: ExactMatrix) -> RankResult:
     """Exact rank with the leftmost greedy independent column set."""
     if matrix.n_rows == 0 or matrix.n_cols == 0:
         return RankResult(0, ())
-    rows = _integer_rows(matrix.entries)
-    r, pivots = _eliminate(rows, range(matrix.n_cols))
-    return RankResult(r, tuple(pivots))
+    kept = Span(matrix.n_rows).extend(zip(*_integer_rows(matrix.entries)))
+    return RankResult(len(kept), tuple(kept))
 
 
-def pivot_columns_in_order(
-    matrix: ExactMatrix, order: Sequence[int]
-) -> tuple[Point, ...]:
-    """Greedy maximal independent column set scanning columns in the given order.
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def eval_columns(grid: UniformGrid, d: int) -> dict[Point, tuple[int, ...]]:
+    """Per grid point, its values under every falling factorial of weight <= d.
 
-    Returns the labels of the pivot columns, listed by original column
-    position.  The order must be a permutation of range(n_cols).
+    Entries follow grid.unfold(range(d + 1)).  Each point's values over
+    the box of exponents below min(d, k_i - 1) + 1 per coordinate are the
+    Kronecker product of per-coordinate falling-factorial vectors, in lex
+    order; the exponents of weight <= d are then picked out of it.
     """
-    if sorted(order) != list(range(matrix.n_cols)):
-        raise BadPermutation("scan order is not a permutation of the columns")
-    if matrix.n_rows == 0 or matrix.n_cols == 0:
-        return ()
-    rows = _integer_rows(matrix.entries)
-    _, pivots = _eliminate(rows, list(order))
-    return tuple(matrix.col_labels[c] for c in sorted(pivots))
+    box = [min(d, k - 1) + 1 for k in grid.arities]
+    lex = {alpha: i for i, alpha in enumerate(itertools.product(*map(range, box)))}
+    picks = [lex[alpha] for alpha in grid.unfold(range(d + 1))]
+    tables = [
+        [[perm(x, a) for a in range(m)] for x in range(k)]
+        for k, m in zip(grid.arities, box)
+    ]
+    out = {}
+    for x in grid.points():
+        values = [1]
+        for table, xi in zip(tables, x):
+            values = [u * w for u in values for w in table[xi]]
+        out[x] = tuple(map(values.__getitem__, picks))
+    return out
 
 
 def eval_matrix_points(

@@ -68,7 +68,8 @@ def _weight_subsets(N: int) -> list[tuple[int, ...]]:
     ]
 
 
-@lru_cache(maxsize=None)
+# Holds every closure of one default-Limits() pass (10,104) without eviction.
+@lru_cache(maxsize=1 << 14)
 def _zstar(grid: UniformGrid, d: int, E: tuple[int, ...]) -> frozenset[int]:
     return closure.zstar_closure(grid, d, E)
 

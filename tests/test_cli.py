@@ -170,6 +170,22 @@ def test_bad_grid_and_bad_degree(capsys):
     assert "PointNotInGrid" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("layer-sizes", "--grid", "3,\u00b2"),
+        ("hilbert", "--grid", "3,3", "--degree", "1", "--set", "\u00b2"),
+        ("hilbert", "--grid", "3,3", "--degree", "1", "--set", "0-\u00b2"),
+    ],
+)
+def test_superscript_digits_are_parse_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ParseError: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_huge_weight_range_fails_before_expansion(capsys):
     code, out, err = _run(
         capsys, "hilbert", "--grid", "3,3", "--degree", "1", "--set", "0-3000000"

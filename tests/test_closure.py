@@ -22,9 +22,11 @@ from gridhilbert import (
 def _closure_by_rank(grid, d, pts):
     """Literal point closure: x joins when its column adds no rank.
 
-    Reimplemented from scratch on top of the plain rank routine so the
-    production tester (which factors out a shared null-space basis) is
-    checked against a second, slower route.
+    Rebuilds the evaluation matrix of the set with and without x and
+    compares the two ranks, so the production tester (which adds the
+    set's columns to one incremental span once and then asks whether
+    each point's column lies in it) is checked against a second, slower
+    route.
     """
     funcs = grid.unfold(range(d + 1))
     pts = tuple(sorted(set(pts)))

@@ -6,8 +6,11 @@ live in the verification suites.
 """
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridhilbert import (
     DegreeOutOfRange,
@@ -23,9 +26,12 @@ from gridhilbert import (
     hilbert_profile,
     hilbert_rank_oracle,
     is_interval_compatible,
+    l_bar,
     make_grid,
     profile_value,
     rank_block,
+    verification_family,
+    zstar_closure,
 )
 
 
@@ -217,3 +223,32 @@ def test_rank_block_full_degree_is_total_size():
     grid = make_grid((2, 3))
     N = grid.max_weight
     assert rank_block(grid, range(N + 1), range(N + 1)) == grid.size
+
+
+# Every arity order with arities 2 to 6, dimension at most 4 and at most
+# 100 points, except the grids of the verification family.
+_FAMILY = {grid.arities for grid in verification_family()}
+_OUTSIDE_FAMILY = [
+    arities
+    for dim in range(1, 5)
+    for arities in itertools.product(range(2, 7), repeat=dim)
+    if math.prod(arities) <= 100 and tuple(sorted(arities)) not in _FAMILY
+]
+
+
+@st.composite
+def _grid_degree_and_set(draw):
+    grid = make_grid(draw(st.sampled_from(_OUTSIDE_FAMILY)))
+    N = grid.max_weight
+    d = draw(st.integers(0, N))
+    E = draw(st.sets(st.integers(0, N)))
+    return grid, d, tuple(sorted(E))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_grid_degree_and_set())
+def test_routes_agree_on_grids_outside_the_family(case):
+    grid, d, E = case
+    assert hilbert_closed(grid, d, E) == hilbert_rank_oracle(grid, d, E)
+    if grid.is_su2():
+        assert zstar_closure(grid, d, E) == l_bar(grid.max_weight, d, E)

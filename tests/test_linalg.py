@@ -6,7 +6,6 @@ from math import factorial
 import pytest
 
 from gridhilbert import (
-    BadPermutation,
     DuplicateEntries,
     ExactMatrix,
     LengthMismatch,
@@ -15,10 +14,10 @@ from gridhilbert import (
     factorial_diag,
     falling_factorial_value,
     make_grid,
-    pivot_columns_in_order,
     rank,
     up_matrix,
 )
+from gridhilbert.linalg import Span
 
 
 def _reference_rank(entries):
@@ -87,9 +86,8 @@ def test_matrix_validation():
         ExactMatrix(((0,),), ((1,),), ())
 
 
-def test_transpose_scale_matmul():
+def test_scale_and_matmul():
     m = _matrix([[1, 2, 3], [4, 5, 6]])
-    assert m.transpose().entries == ((1, 4), (2, 5), (3, 6))
     assert m.scale(3).entries == ((3, 6, 9), (12, 15, 18))
     prod = m @ _matrix([[1, 0], [0, 1], [1, 1]])
     assert prod.entries == ((4, 5), (10, 11))
@@ -146,32 +144,117 @@ def test_rank_on_all_small_eval_matrices():
                 assert rank(m).rank == _reference_rank(m.entries)
 
 
-def test_pivot_columns_greedy_against_reference():
+def _greedy_columns(entries, n_cols):
+    """Leftmost greedy independent column set, by Fraction rank."""
+    chosen = []
+    for col in range(n_cols):
+        trial = chosen + [col]
+        sub = [[row[c] for c in trial] for row in entries]
+        if _reference_rank(sub) == len(trial):
+            chosen.append(col)
+    return tuple(chosen)
+
+
+def test_rank_pivot_cols_match_greedy_column_scan():
     """The pivot set must match a column-by-column greedy scan over Fraction."""
     rng = random.Random(7)
     for _ in range(100):
         n = rng.randint(1, 5)
         m = rng.randint(1, 5)
         entries = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
-        order = list(range(m))
-        rng.shuffle(order)
-        mat = _matrix(entries)
-        got = pivot_columns_in_order(mat, order)
-        chosen = []
-        for col in order:
-            trial = chosen + [col]
-            sub = [[entries[i][c] for c in trial] for i in range(n)]
-            if _reference_rank(sub) == len(trial):
-                chosen.append(col)
-        assert got == tuple(mat.col_labels[c] for c in sorted(chosen))
+        assert rank(_matrix(entries)).pivot_cols == _greedy_columns(entries, m)
 
 
-def test_pivot_columns_rejects_non_permutation():
-    m = _matrix([[1, 0], [0, 1]])
-    with pytest.raises(BadPermutation):
-        pivot_columns_in_order(m, (0, 0))
-    with pytest.raises(BadPermutation):
-        pivot_columns_in_order(m, (0,))
+class _FractionEchelon:
+    """Reference span over Fraction: rows reduced to 1 at their pivot and
+    0 at every other row's pivot, so a vector's reduction is unique."""
+
+    def __init__(self):
+        self.rows = []
+
+    def reduce(self, v):
+        v = [Fraction(a) for a in v]
+        for c, row in self.rows:
+            if v[c]:
+                f = v[c]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, v):
+        v = self.reduce(v)
+        c = next((i for i, a in enumerate(v) if a), None)
+        if c is None:
+            return None
+        v = [a / v[c] for a in v]
+        self.rows = [
+            (pc, [a - row[c] * b for a, b in zip(row, v)]) for pc, row in self.rows
+        ]
+        self.rows.append((c, v))
+        return c
+
+
+def _random_vectors(rng, count, length, bound):
+    """Random integer vectors with zero vectors and dependent ones mixed in."""
+    out = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.1:
+            v = [0] * length
+        elif roll < 0.4 and len(out) >= 2:
+            a, b = rng.sample(out, 2)
+            c1, c2 = rng.randint(-5, 5), rng.randint(-5, 5)
+            v = [c1 * x + c2 * y for x, y in zip(a, b)]
+        else:
+            v = [
+                rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+                for _ in range(length)
+            ]
+        out.append(v)
+    return out
+
+
+def test_span_matches_fraction_reference_on_random_vectors():
+    rng = random.Random(20261018)
+    for trial in range(600):
+        length = rng.randint(1, 7)
+        bound = (9, 10**3, 10**12)[trial % 3]
+        vectors = _random_vectors(rng, rng.randint(1, 10), length, bound)
+        probes = _random_vectors(rng, 3, length, bound)
+        span, ref = Span(length), _FractionEchelon()
+        for i, v in enumerate(vectors):
+            for probe in probes + vectors[: i + 1]:
+                assert (probe in span) == (not any(ref.reduce(probe)))
+            assert span.add(v) == ref.add(v)
+            assert span.rank == len(ref.rows) == _reference_rank(vectors[: i + 1])
+
+
+def test_span_zero_vectors_and_full_span():
+    span = Span(3)
+    assert span.add([0, 0, 0]) is None
+    assert [0, 0, 0] in span and [1, 0, 0] not in span
+    assert span.add([0, 2, 4]) == 1
+    assert span.add([0, 1, 2]) is None
+    assert span.add([5, 0, 0]) == 0
+    assert span.add([7, 0, 1]) == 2
+    assert span.rank == 3
+    assert [10**12, -3, 11] in span
+    assert span.add([1, 1, 1]) is None
+    with pytest.raises(LengthMismatch):
+        Span(2).add([1, 2, 3])
+
+
+def test_span_extend_stops_once_full():
+    span = Span(2)
+    consumed = []
+
+    def vectors():
+        for v in ([0, 0], [1, 2], [2, 4], [0, 1], [1, 1]):
+            consumed.append(v)
+            yield v
+
+    assert span.extend(vectors()) == [1, 3]
+    assert consumed == [[0, 0], [1, 2], [2, 4], [0, 1]]
+    assert Span(0).extend([[]]) == []
 
 
 def test_eval_matrix_frozen_example():
