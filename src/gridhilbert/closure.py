@@ -4,22 +4,24 @@ Two routes to the same object.  The brute-force route declares a point
 x closed into A when no polynomial of degree at most d vanishing on A
 separates x, i.e. when the evaluation column of x under the falling
 factorials of weight <= d lies in the exact span (linalg.Span) of the
-columns of A; applied layerwise this gives the weight-set closure.  The
-combinatorial route iterates an interval-filling step operator on the
-weight set until it stabilizes.  On grids whose layer-size table is
-strictly unimodal with a flat middle pair the two routes agree, and the
-package keeps both so the agreement is observable rather than assumed.
+columns of A; applied layerwise this gives the weight-set closure, one
+set at a time or, for every weight set of a grid and degree, as a sweep
+that shares each set's prefix on one Span.  The combinatorial route
+iterates an interval-filling step operator on the weight set until it
+stabilizes.  On grids whose layer-size table is strictly unimodal with a
+flat middle pair the two routes agree, and the package keeps both so the
+agreement is observable rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import WeightOutOfRange
 from .grid import Point, UniformGrid
 from .hilbert import _check_degree, _check_weight_set
-from .linalg import Span, eval_columns
+from .linalg import Span, eval_columns, subset_sweep
 
 
 def l_step(N: int, d: int, E: Iterable[int]) -> frozenset[int]:
@@ -103,6 +105,28 @@ def zstar_closure(grid: UniformGrid, d: int, E: Iterable[int]) -> frozenset[int]
         if all(tester.contains(x) for x in grid.layer(j)):
             out.add(j)
     return frozenset(out)
+
+
+def zstar_sweep(grid: UniformGrid, d: int) -> Iterator[frozenset[int]]:
+    """zstar_closure(grid, d, E) for every weight set E, E given by the bits
+    of mask in range(1 << (N + 1)), in mask order.
+
+    One Span holds the columns of the current set (linalg.subset_sweep);
+    a layer outside the set joins the closure when each of its points'
+    columns lies in the span, the same test as the one-shot route's.
+    """
+    _check_degree(d, grid.max_weight)
+    columns = eval_columns(grid, d)
+    span = Span(len(next(iter(columns.values()))))
+    layers = [
+        [columns[x] for x in grid.layer(w)] for w in range(grid.max_weight + 1)
+    ]
+    for mask in subset_sweep(span, layers):
+        yield frozenset(
+            j
+            for j, layer in enumerate(layers)
+            if mask >> j & 1 or all(v in span for v in layer)
+        )
 
 
 @dataclass(frozen=True)

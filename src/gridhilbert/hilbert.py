@@ -7,14 +7,16 @@ against the unused weights of [0, d], largest against smallest, each
 pair contributing the smaller layer size.  The rank oracle computes the
 same dimension directly as the rank of the points' falling-factorial
 evaluation columns, added one by one to an exact linalg.Span, and exists
-so the closed form is checkable instance by instance.
+so the closed form is checkable instance by instance.  Its sweep form
+answers every weight set of one grid and degree in mask order, sharing
+each set's prefix on one Span (linalg.subset_sweep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .errors import (
@@ -99,6 +101,19 @@ def hilbert_rank_oracle(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
     span = linalg.Span(len(next(iter(columns.values()))))
     span.extend(columns[x] for x in grid.unfold(E))
     return span.rank
+
+
+def rank_oracle_sweep(grid: UniformGrid, d: int) -> Iterator[int]:
+    """hilbert_rank_oracle(grid, d, E) for every weight set E, E given by
+    the bits of mask in range(1 << (N + 1)), in mask order."""
+    _check_degree(d, grid.max_weight)
+    columns = linalg.eval_columns(grid, d)
+    span = linalg.Span(len(next(iter(columns.values()))))
+    layers = [
+        [columns[x] for x in grid.layer(w)] for w in range(grid.max_weight + 1)
+    ]
+    for _ in linalg.subset_sweep(span, layers):
+        yield span.rank
 
 
 def hilbert_cube_closed(n: int, d: int, E: Iterable[int]) -> int:

@@ -4,14 +4,19 @@ Every exact rank question of the package goes through Span, an
 incremental fraction-free (Bareiss) span of integer vectors: the rank
 oracle and the block ranks add evaluation columns to it, the closure
 tester asks whether a column lies in it, and the footprint scan keeps
-the monomial columns that enlarge it.  Nothing here ever rounds.  The
+the monomial columns that enlarge it.  Nothing here ever rounds.  A
+stored row depends only on the rows before it, so Span.truncate(r)
+leaves exactly the span of the first r stored rows; subset_sweep uses
+that to visit every union of a list of blocks in increasing mask order
+with about two span operations per mask instead of a fresh elimination.
+The pivot positions of a Span fed the rows of a matrix are the matrix's
+lex-first column basis, the same set a column scan keeps.  The
 evaluation columns of a grid and degree are cached.  ExactMatrix holds
 dense int or Fraction matrices with grid-point labels for the matrix
 dumps, the up-rank and factorization suites and the demos; its rank
 clears denominators row by row and adds the columns left to right to a
 Span, so the pivot set is the greedy column basis.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, perm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateEntries, LengthMismatch
 from .grid import Point, UniformGrid
@@ -131,9 +136,16 @@ class Span:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Sequence[int]) -> list[int]:
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot positions of the stored rows, in the order they were added."""
+        return tuple(c for c, _ in self._rows)
+
+    def _check_length(self, v: Sequence[int]) -> None:
         if len(v) != self.length:
             raise LengthMismatch(f"vector length {len(v)} != span length {self.length}")
+
+    def _reduce(self, v: Sequence[int]) -> list[int]:
         v = list(v)
         prev = 1
         for c, row in self._rows:
@@ -148,6 +160,7 @@ class Span:
 
     def add(self, v: Sequence[int]) -> int | None:
         """Store v; its pivot position, or None when v is already in the span."""
+        self._check_length(v)
         if len(self._rows) == self.length:
             return None
         v = self._reduce(v)
@@ -158,6 +171,7 @@ class Span:
         return None
 
     def __contains__(self, v: Sequence[int]) -> bool:
+        self._check_length(v)
         return len(self._rows) == self.length or not any(self._reduce(v))
 
     def extend(self, vectors: Iterable[Sequence[int]]) -> list[int]:
@@ -171,6 +185,37 @@ class Span:
                 if len(self._rows) == self.length:
                     break
         return kept
+
+    def truncate(self, rank: int) -> None:
+        """Keep the first rank stored rows, as if nothing had been added after them."""
+        if not 0 <= rank <= len(self._rows):
+            raise LengthMismatch(
+                f"cannot truncate a span of rank {len(self._rows)} to {rank}"
+            )
+        del self._rows[rank:]
+
+
+def subset_sweep(
+    span: Span, blocks: Sequence[Sequence[Sequence[int]]]
+) -> Iterator[int]:
+    """Every mask in range(1 << len(blocks)), in increasing order, with span
+    holding its initial rows plus the vectors of the blocks whose bits are set.
+
+    The blocks in the span form a stack, highest index at the bottom.  From
+    mask m - 1 to m, the blocks of the bits below m's lowest set bit b are
+    popped by one truncate and block b is pushed.  Each block is added in
+    its own order, highest block first, so the span holds the same rows a
+    fresh span fed the blocks in that order would hold.
+    """
+    floors = [span.rank]
+    yield 0
+    for mask in range(1, 1 << len(blocks)):
+        b = (mask & -mask).bit_length() - 1
+        del floors[len(floors) - b :]
+        span.truncate(floors[-1])
+        span.extend(blocks[b])
+        floors.append(span.rank)
+        yield mask
 
 
 def _integer_rows(entries: Iterable[Iterable[Entry]]) -> list[list[int]]:

@@ -18,15 +18,20 @@ the masks G of the tail groups (points sharing a[t+1:]) and the cut
 masks {a : a[t] < v} for v = 1 .. k_t - 1.  A group of S is S & G, its
 size a popcount, and its cuts are tried by ascending v, skipping a cut
 whose lower part repeats the previous one and stopping once the lower
-part is the whole group.  The memo lives for one call.
+part is the whole group.  The memo lives for one call, and ord_str_mask
+takes the point set as its mask directly.
 
 Standard monomials are computed by a separate route with no shattering
 in it: scan the monomials X^alpha for alpha in the grid in ascending
 lex order, add each one's evaluation column over A to an exact
 linalg.Span, keep those that enlarge it, and stop once |A| are kept.
-The two routes coincide on every set of grid points, and that equality
-is part of the verification surface of this package rather than an
-assumption of the code.
+The footprint sweep gives the same sets for every point set of a grid
+in mask order by plain linear algebra: each point adds its row of all
+grid monomials to one Span, prefixes are shared (linalg.subset_sweep),
+and the row pivots, the lex-first column basis, are the standard
+monomials.  The two routes coincide on every set of grid points, and
+that equality is part of the verification surface of this package
+rather than an assumption of the code.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyMultiset
 from .grid import Point, UniformGrid
-from .linalg import _GRID_CACHE_SIZE, Span
+from .linalg import _GRID_CACHE_SIZE, Span, subset_sweep
 
 
 def tau(b: Iterable[int]) -> int:
@@ -143,12 +148,21 @@ def order_shatters(grid: UniformGrid, A: Iterable[Point], b: Iterable[int]) -> b
 
 def ord_str(grid: UniformGrid, A: Iterable[Point]) -> MonomialDownset:
     """All multisets the point set order-shatters."""
-    bit, steps = _shatter_tables(grid)
-    S = sum({1 << bit[grid.check_point(p)] for p in A})
-    memo: dict[tuple[int, int], bool] = {}
+    bit = _shatter_tables(grid)[0]
     return MonomialDownset(
-        frozenset(b for b, j in bit.items() if _shatters(steps, S, j, memo))
+        ord_str_mask(grid, sum({1 << bit[grid.check_point(p)] for p in A}))
     )
+
+
+def ord_str_mask(grid: UniformGrid, S: int) -> frozenset[Point]:
+    """All multisets order-shattered by the point set whose mask is S.
+
+    Bit i of S is the i-th grid point in lex order; every multiset of the
+    grid is tested on its own, with one memo for the call.
+    """
+    bit, steps = _shatter_tables(grid)
+    memo: dict[tuple[int, int], bool] = {}
+    return frozenset(b for b, j in bit.items() if _shatters(steps, S, j, memo))
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -161,7 +175,8 @@ def _monomial_rows(grid: UniformGrid) -> dict[Point, tuple[int, ...]]:
     return {}
 
 
-def _sm_exponents(grid: UniformGrid, pts: tuple[Point, ...]) -> frozenset[Point]:
+def _rows_at(grid: UniformGrid, pts: Iterable[Point]) -> list[tuple[int, ...]]:
+    """The monomial rows of the points, filling the grid's table as needed."""
     table = _monomial_rows(grid)
     for x in pts:
         if x not in table:
@@ -170,10 +185,13 @@ def _sm_exponents(grid: UniformGrid, pts: tuple[Point, ...]) -> frozenset[Point]
                 powers = [xi**a for a in range(k)]
                 values = [u * w for u in values for w in powers]
             table[x] = tuple(values)
+    return [table[x] for x in pts]
+
+
+def _sm_exponents(grid: UniformGrid, pts: tuple[Point, ...]) -> frozenset[Point]:
     # A list, not a generator, under zip(*...): unpacking a generator there
     # left the shattering sweep's peak RSS about 0.7 MB higher.
-    rows = [table[x] for x in pts]
-    kept = Span(len(pts)).extend(zip(*rows))
+    kept = Span(len(pts)).extend(zip(*_rows_at(grid, pts)))
     exponents = tuple(grid.points())
     return frozenset(exponents[j] for j in kept)
 
@@ -188,3 +206,20 @@ def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> MonomialDownset
     """
     pts = tuple(sorted({grid.check_point(p) for p in A}))
     return MonomialDownset(_sm_exponents(grid, pts))
+
+
+def footprint_sweep(grid: UniformGrid) -> Iterator[frozenset[Point]]:
+    """standard_monomials(grid, A).members for every point set A, A given by
+    the bits of mask in range(1 << grid.size) (bit i is the i-th point in
+    lex order), in mask order.
+
+    Each point of A adds its full monomial row to one Span (the prefix of
+    each set is shared, linalg.subset_sweep).  The pivot positions of a
+    Span fed the rows of a matrix form its lex-first column basis, so they
+    are the monomials the column scan keeps.
+    """
+    exponents = tuple(grid.points())
+    span = Span(len(exponents))
+    blocks = [[row] for row in _rows_at(grid, exponents)]
+    for _ in subset_sweep(span, blocks):
+        yield frozenset(exponents[c] for c in span.pivots)

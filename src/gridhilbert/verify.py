@@ -7,6 +7,16 @@ at the first failing instance, so the reported counterexample is the
 minimal one in sweep order.  Counterexample payloads are plain dicts
 ready for JSON emission; values that can exceed 64 bits (ranks, layer
 sizes, Hilbert values) are rendered as decimal strings.
+
+Suites that visit every subset in mask order read the brute-force side
+from a sweep that shares each subset's prefix on one linalg.Span:
+grid-hilbert from hilbert.rank_oracle_sweep, shattering (on grids of at
+most 16 points) from shattering.footprint_sweep with each mask passed
+straight to the recursion, and zstar-lbar and closure-laws from one
+table of z*-closures per grid and degree, filled by closure.zstar_sweep
+and indexed by mask.  The sweeps give the one-shot routes' answers in
+the same order, so the checks, their counts and the first
+counterexample are those of the one-shot routes.
 """
 
 from __future__ import annotations
@@ -68,10 +78,16 @@ def _weight_subsets(N: int) -> list[tuple[int, ...]]:
     ]
 
 
-# Holds every closure of one default-Limits() pass (10,104) without eviction.
-@lru_cache(maxsize=1 << 14)
-def _zstar(grid: UniformGrid, d: int, E: tuple[int, ...]) -> frozenset[int]:
-    return closure.zstar_closure(grid, d, E)
+def _mask(E) -> int:
+    return sum(1 << j for j in E)
+
+
+# The z*-closure of every weight set of one grid and degree, indexed by
+# mask.  A default-Limits() pass has 108 (grid, degree) pairs, so the
+# zstar-lbar and closure-laws suites share every table without eviction.
+@lru_cache(maxsize=128)
+def _zstar_table(grid: UniformGrid, d: int) -> tuple[frozenset[int], ...]:
+    return tuple(closure.zstar_sweep(grid, d))
 
 
 def _points_json(points) -> list[list[int]]:
@@ -85,10 +101,9 @@ def _suite_grid_hilbert(limits: Limits) -> SuiteResult:
         N = grid.max_weight
         subsets = _weight_subsets(N)
         for d in range(N + 1):
-            for E in subsets:
+            for E, oracle in zip(subsets, hilbert.rank_oracle_sweep(grid, d)):
                 checked += 1
                 closed = hilbert.hilbert_closed(grid, d, E)
-                oracle = hilbert.hilbert_rank_oracle(grid, d, E)
                 if closed != oracle:
                     return SuiteResult(
                         "grid-hilbert",
@@ -342,9 +357,8 @@ def _suite_zstar_lbar(limits: Limits) -> SuiteResult:
         N = grid.max_weight
         subsets = _weight_subsets(N)
         for d in range(N + 1):
-            for E in subsets:
+            for E, zs in zip(subsets, _zstar_table(grid, d)):
                 checked += 1
-                zs = _zstar(grid, d, E)
                 lb = closure.l_bar(N, d, E)
                 if zs != lb:
                     return SuiteResult(
@@ -376,8 +390,8 @@ def _suite_closure_laws(limits: Limits) -> SuiteResult:
         subsets = _weight_subsets(N)
         n_masks = len(subsets)
         for d in range(N + 1):
-            closures = [_zstar(grid, d, E) for E in subsets]
-            for E, cl in zip(subsets, closures):
+            closures = _zstar_table(grid, d)
+            for mask, (E, cl) in enumerate(zip(subsets, closures)):
                 checked += 1
                 if not set(E) <= cl:
                     return fail(grid, d, E, "extensive", closure=sorted(cl))
@@ -390,7 +404,7 @@ def _suite_closure_laws(limits: Limits) -> SuiteResult:
                         hilbert=str(before), closed_hilbert=str(after),
                     )
                 checked += 1
-                if _zstar(grid, d, tuple(sorted(cl))) != cl:
+                if closures[_mask(cl)] != cl:
                     return fail(grid, d, E, "idempotent", closure=sorted(cl))
                 if len(E) >= d + 1:
                     checked += 1
@@ -401,7 +415,7 @@ def _suite_closure_laws(limits: Limits) -> SuiteResult:
                         )
                 if d < N:
                     checked += 1
-                    if not _zstar(grid, d + 1, E) <= cl:
+                    if not _zstar_table(grid, d + 1)[mask] <= cl:
                         return fail(grid, d, E, "degree-antitone")
             for mask in range(n_masks):
                 sub = (mask - 1) & mask
@@ -419,7 +433,7 @@ def _suite_closure_laws(limits: Limits) -> SuiteResult:
                 T = closure.t_set(N, i)
                 for d in range(N + 1):
                     checked += 1
-                    cl = _zstar(grid, d, tuple(sorted(T)))
+                    cl = _zstar_table(grid, d)[_mask(T)]
                     want = T if i <= d else full
                     if cl != want:
                         return fail(
@@ -429,39 +443,50 @@ def _suite_closure_laws(limits: Limits) -> SuiteResult:
     return SuiteResult("closure-laws", True, checked)
 
 
+def _sampled_instance(grid: UniformGrid, pts: list, picks: list[int]) -> tuple:
+    """A sampled point set, by the one-shot routes: (mask, ord_str, footprint)."""
+    A = [pts[i] for i in picks]
+    return (
+        _mask(picks),
+        shattering.ord_str(grid, A).members,
+        shattering.standard_monomials(grid, A).members,
+    )
+
+
 def _suite_shattering(limits: Limits) -> SuiteResult:
     """Order shattering against the footprint scan, point set by point set."""
     checked = 0
     for grid in verification_family(limits.max_points, limits.max_cube):
         pts = list(grid.points())
         n = len(pts)
+        # Point sets as masks: bit i is the i-th point in lex order.
         if n <= 16:
-            samples = (
-                frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
-                for mask in range(1 << n)
+            instances = (
+                (mask, shattering.ord_str_mask(grid, mask), sm)
+                for mask, sm in enumerate(shattering.footprint_sweep(grid))
             )
         elif n <= 27:
             rng = random.Random(f"{limits.seed}:shattering:{grid.spec()}")
-            samples = (
-                frozenset(rng.sample(pts, rng.randint(0, n)))
+            instances = (
+                _sampled_instance(grid, pts, rng.sample(range(n), rng.randint(0, n)))
                 for _ in range(limits.shatter_samples)
             )
         else:
             continue
-        for A in samples:
+        for mask, shattered, sm in instances:
             checked += 1
-            shattered = shattering.ord_str(grid, A)
-            sm = shattering.standard_monomials(grid, A)
-            if shattered.members != sm.members or len(shattered) != len(A):
+            if shattered != sm or len(shattered) != mask.bit_count():
                 return SuiteResult(
                     "shattering",
                     False,
                     checked,
                     {
                         "grid": grid.spec(),
-                        "points": _points_json(A),
-                        "ordstr": _points_json(shattered.members),
-                        "sm": _points_json(sm.members),
+                        "points": _points_json(
+                            p for i, p in enumerate(pts) if mask >> i & 1
+                        ),
+                        "ordstr": _points_json(shattered),
+                        "sm": _points_json(sm),
                     },
                 )
     return SuiteResult("shattering", True, checked)

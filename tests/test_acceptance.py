@@ -18,6 +18,7 @@ Every criterion is expected to pass.
 """
 
 import json
+from time import perf_counter
 
 from gridhilbert.grid import parse_grid
 from gridhilbert.hilbert import hilbert_closed, hilbert_layer, hilbert_rank_oracle
@@ -31,6 +32,8 @@ from gridhilbert.verify import (
 
 _LIMITS = Limits()
 _RESULTS = {}
+# Seconds per criterion: its suite, plus criterion 3's law sweep.
+_SECONDS = {}
 # Suites whose documented verdict the gate pins instead of demanding a
 # pass: the ``wilson`` min display fails at its 37th check.
 _PINNED = {
@@ -70,7 +73,9 @@ CRITERIA = (
 
 def _result(name):
     if name not in _RESULTS:
+        start = perf_counter()
         _RESULTS[name] = verify_suite(name, _LIMITS)
+        _SECONDS[name] = perf_counter() - start
     return _RESULTS[name]
 
 
@@ -161,7 +166,9 @@ def test_criterion_02_cube_specialization():
 def test_criterion_03_single_layer_display_and_duality():
     number, name, claim = CRITERIA[2]
     result = _result(name)
+    start = perf_counter()
     checked, failures = _single_layer_failures(_LIMITS)
+    _SECONDS[name] += perf_counter() - start
     _LAW_RESULTS[name] = (checked - len(failures), checked)
     line = f"criterion {number:2d} [{name}] {claim}: {verdict(name)}"
     print(line)

@@ -17,7 +17,7 @@ from gridhilbert import (
     rank,
     up_matrix,
 )
-from gridhilbert.linalg import Span
+from gridhilbert.linalg import Span, subset_sweep
 
 
 def _reference_rank(entries):
@@ -213,19 +213,103 @@ def _random_vectors(rng, count, length, bound):
     return out
 
 
-def test_span_matches_fraction_reference_on_random_vectors():
+def _random_cases():
+    """600 seeded (length, vectors, probes) cases with entries up to 10**12."""
     rng = random.Random(20261018)
     for trial in range(600):
         length = rng.randint(1, 7)
         bound = (9, 10**3, 10**12)[trial % 3]
         vectors = _random_vectors(rng, rng.randint(1, 10), length, bound)
         probes = _random_vectors(rng, 3, length, bound)
+        yield length, vectors, probes
+
+
+def _assert_hadamard_bound(span, kept):
+    """Every entry of stored row i is a minor of kept[0..i], so its square is
+    at most the product of the squared Euclidean norms of those vectors."""
+    bound = 1
+    for (_, row), v in zip(span._rows, kept):
+        bound *= sum(a * a for a in v)
+        assert max(a * a for a in row) <= bound, (kept, row)
+
+
+def test_span_matches_fraction_reference_on_random_vectors():
+    for length, vectors, probes in _random_cases():
         span, ref = Span(length), _FractionEchelon()
+        kept = []
         for i, v in enumerate(vectors):
             for probe in probes + vectors[: i + 1]:
                 assert (probe in span) == (not any(ref.reduce(probe)))
-            assert span.add(v) == ref.add(v)
+            pivot = span.add(v)
+            assert pivot == ref.add(v)
+            if pivot is not None:
+                kept.append(v)
             assert span.rank == len(ref.rows) == _reference_rank(vectors[: i + 1])
+        _assert_hadamard_bound(span, kept)
+
+
+def test_truncate_leaves_the_span_of_the_rows_kept():
+    for length, vectors, probes in _random_cases():
+        full = Span(length)
+        kept = [v for v in vectors if full.add(v) is not None]
+        rows = list(full._rows)
+        full.truncate(full.rank)
+        assert full._rows == rows
+        for r in range(len(kept) + 1):
+            span = Span(length)
+            span.extend(vectors)
+            span.truncate(r)
+            fresh = Span(length)
+            assert fresh.extend(kept[:r]) == list(range(r))
+            assert span._rows == fresh._rows
+            added = kept[:r]
+            for v in probes + vectors:
+                assert (v in span) == (v in fresh)
+                pivot = span.add(v)
+                assert pivot == fresh.add(v)
+                if pivot is not None:
+                    added.append(v)
+            _assert_hadamard_bound(span, added)
+    span = Span(3)
+    span.extend([[1, 2, 3], [0, 1, 1]])
+    span.truncate(0)
+    assert span.rank == 0 and [1, 2, 3] not in span
+    for bad in (-1, 1):
+        with pytest.raises(LengthMismatch):
+            span.truncate(bad)
+
+
+def test_row_pivots_are_the_greedy_column_basis():
+    rng = random.Random(11)
+    for trial in range(200):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 6)
+        entries = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+        if trial % 3 == 0 and n >= 2:
+            entries[-1] = [2 * a - b for a, b in zip(entries[0], entries[n // 2])]
+        span = Span(m)
+        span.extend(entries)
+        assert tuple(sorted(span.pivots)) == _greedy_columns(entries, m)
+
+
+def test_subset_sweep_matches_a_fresh_span_per_mask():
+    rng = random.Random(5)
+    for _ in range(40):
+        length = rng.randint(1, 5)
+        blocks = [
+            _random_vectors(rng, rng.randint(0, 3), length, 9)
+            for _ in range(rng.randint(0, 5))
+        ]
+        span = Span(length)
+        masks = []
+        for mask in subset_sweep(span, blocks):
+            masks.append(mask)
+            fresh = Span(length)
+            for b in reversed(range(len(blocks))):
+                if mask >> b & 1:
+                    fresh.extend(blocks[b])
+            assert span._rows == fresh._rows, (blocks, mask)
+        assert masks == list(range(1 << len(blocks)))
 
 
 def test_span_zero_vectors_and_full_span():
@@ -241,6 +325,22 @@ def test_span_zero_vectors_and_full_span():
     assert span.add([1, 1, 1]) is None
     with pytest.raises(LengthMismatch):
         Span(2).add([1, 2, 3])
+
+
+def test_full_span_still_checks_vector_length():
+    span = Span(2)
+    assert span.extend([[1, 2], [0, 3]]) == [0, 1]
+    assert [5, -7] in span and span.add([5, -7]) is None
+    with pytest.raises(LengthMismatch):
+        [1, 2, 3] in span
+    with pytest.raises(LengthMismatch):
+        span.add([1, 2, 3])
+
+    def unread():
+        raise AssertionError("a full span read a vector")
+        yield
+
+    assert span.extend(unread()) == []
 
 
 def test_span_extend_stops_once_full():

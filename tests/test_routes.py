@@ -1,0 +1,96 @@
+"""The two routes to each quantity stay independent.
+
+Each route runs under sys.setprofile, with every package cache cleared
+first so cached helpers run their bodies too, and the test asserts
+which functions of the package it never enters: the rank, closure and
+footprint routes never reach the closed forms, the step operator or the
+shattering recursion, and the closed forms and the shattering recursion
+never reach the linear-algebra kernel.  Each check also names one
+function the route must enter, so a profile that saw nothing fails.
+"""
+
+import sys
+
+from test_caches import _lru_caches
+
+from gridhilbert import (
+    hilbert_closed,
+    hilbert_cube_closed,
+    hilbert_rank_oracle,
+    l_bar,
+    make_grid,
+    ord_str,
+    standard_monomials,
+    zstar_closure,
+)
+from gridhilbert.closure import zstar_sweep
+from gridhilbert.hilbert import rank_oracle_sweep
+from gridhilbert.shattering import footprint_sweep
+
+_CLOSED_FORM_AND_RECURSION = {
+    "be_enumeration",
+    "hilbert_closed",
+    "l_step",
+    "l_bar",
+    "_shatters",
+}
+_LINALG = "gridhilbert.linalg"
+
+
+def _entered(route, *args):
+    """(module, function) of every package frame the route enters."""
+    for _, cache in _lru_caches():
+        cache.cache_clear()
+    seen = set()
+
+    def hook(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("gridhilbert"):
+            seen.add((module, frame.f_code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        result = route(*args)
+        if hasattr(result, "__next__"):
+            list(result)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _cases():
+    grid = make_grid((3, 2, 2))
+    points = [(0, 0, 1), (1, 1, 0), (2, 0, 0), (2, 1, 1)]
+    return grid, [(1, (0, 3)), (2, (1, 2, 4)), (0, (4,))], points
+
+
+def test_rank_closure_and_footprint_routes_avoid_closed_forms_and_recursion():
+    grid, weight_cases, points = _cases()
+    runs = [(standard_monomials, grid, points), (footprint_sweep, grid)]
+    for d, E in weight_cases:
+        runs += [
+            (hilbert_rank_oracle, grid, d, E),
+            (rank_oracle_sweep, grid, d),
+            (zstar_closure, grid, d, E),
+            (zstar_sweep, grid, d),
+        ]
+    for route, *args in runs:
+        entered = _entered(route, *args)
+        assert (_LINALG, "add") in entered or (_LINALG, "__contains__") in entered
+        names = {name for _, name in entered}
+        assert not names & _CLOSED_FORM_AND_RECURSION, (route.__name__, args)
+
+
+def test_closed_forms_and_recursion_avoid_linalg():
+    grid, weight_cases, points = _cases()
+    runs = [(ord_str, grid, points, "_shatters")]
+    for d, E in weight_cases:
+        runs += [
+            (hilbert_closed, grid, d, E, "be_enumeration"),
+            (hilbert_cube_closed, 4, d, E, "be_enumeration"),
+            (l_bar, grid.max_weight, d, E, "l_step"),
+        ]
+    for route, *args, required in runs:
+        entered = _entered(route, *args)
+        assert required in {name for _, name in entered}
+        assert _LINALG not in {m for m, _ in entered}, (route.__name__, args)

@@ -1,0 +1,64 @@
+"""Each prefix-shared sweep equals its one-shot route on every mask.
+
+rank_oracle_sweep and zstar_sweep answer every weight set of one grid
+and degree, footprint_sweep every point set of one grid; mask bit j is
+weight j, or the j-th grid point in lex order.  A mismatch is reported
+with its grid, degree and set.
+"""
+
+import itertools
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridhilbert import (
+    hilbert_rank_oracle,
+    make_grid,
+    standard_monomials,
+    verification_family,
+    zstar_closure,
+)
+from gridhilbert.closure import zstar_sweep
+from gridhilbert.hilbert import rank_oracle_sweep
+from gridhilbert.shattering import footprint_sweep
+
+
+def _assert_sweeps_match_one_shot_routes(grid):
+    N = grid.max_weight
+    for d in range(N + 1):
+        ranks = list(rank_oracle_sweep(grid, d))
+        closures = list(zstar_sweep(grid, d))
+        assert len(ranks) == len(closures) == 1 << (N + 1)
+        for mask, (rank, closed) in enumerate(zip(ranks, closures)):
+            E = [j for j in range(N + 1) if mask >> j & 1]
+            assert rank == hilbert_rank_oracle(grid, d, E), (grid.spec(), d, E)
+            assert closed == zstar_closure(grid, d, E), (grid.spec(), d, E)
+    pts = list(grid.points())
+    footprints = list(footprint_sweep(grid))
+    assert len(footprints) == 1 << len(pts)
+    for mask, footprint in enumerate(footprints):
+        A = [p for i, p in enumerate(pts) if mask >> i & 1]
+        assert footprint == standard_monomials(grid, A).members, (grid.spec(), A)
+
+
+def test_sweeps_match_one_shot_routes_on_small_family_grids():
+    for arities in [(2, 3), (3, 3), (2, 2, 2)]:
+        _assert_sweeps_match_one_shot_routes(make_grid(arities))
+
+
+# Every arity tuple with at most 10 points that is not a grid of the
+# verification family, reorderings of family grids included.
+_FAMILY = {grid.arities for grid in verification_family()}
+_SMALL_OUTSIDE_FAMILY = [
+    arities
+    for dim in (1, 2, 3)
+    for arities in itertools.product(range(2, 11), repeat=dim)
+    if math.prod(arities) <= 10 and arities not in _FAMILY
+]
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.sampled_from(_SMALL_OUTSIDE_FAMILY))
+def test_sweeps_match_one_shot_routes_off_the_family(arities):
+    _assert_sweeps_match_one_shot_routes(make_grid(arities))
