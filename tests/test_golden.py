@@ -1,0 +1,587 @@
+"""Golden bytes and fault pins: what a refactor of the CLI or the suites must keep.
+
+The CLI half pins, byte for byte, the stdout and exit status of every
+README example, the sha256 of ``verify all --json --max-points 12``,
+and the stderr line and exit status of each class of CLI error.
+
+The fault half breaks one route of each suite on purpose, by patching
+one module attribute the suite looks up, so that a chosen instance
+fails, and pins the whole SuiteResult the suite then returns: its
+number of checks up to and including the failure, and the
+counterexample dict key for key.  Between them the pins cover every
+counterexample shape the suites can emit.  The sampled branch of the
+shattering suite (grids of 17 to 27 points) is left to the mutant list
+in tools/mutants.py, because reaching it costs seconds.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from gridhilbert import closure, hilbert, linalg, shattering, verify
+from gridhilbert.cli import main
+from gridhilbert.verify import Limits, SuiteResult, verify_suite
+
+# ---------------------------------------------------------------- CLI bytes
+
+# Every example of README.md's "Command line" section but the last,
+# `verify all` at the default limits, which the acceptance gate runs.
+README_EXAMPLES = [
+    ("layer-sizes --grid 3,3", 0, "1,2,3,2,1\n"),
+    ("hilbert --grid 3,3 --degree 1 --set 2", 0, "closed=2, oracle=2\n"),
+    (
+        "hilbert --grid 3,3 --degree 1 --set 2 --dump-matrix",
+        0,
+        "closed=2, oracle=2\n1 1 1\n2 1 0\n0 1 2\n",
+    ),
+    ("be-enum --grid 3,3 --degree 1 --set 1,3", 0, "t_desc=0\nw_asc=3\nkept=1\n"),
+    ("profile --grid 3,3 --degree 1 --set 1,3", 0, "1,1\n3,0\nvalue=3\n"),
+    (
+        "closure --grid 3,3 --degree 1 --set 1,3",
+        0,
+        "input=1,3\nlbar=0,1,2,3,4\nzstar=0,1,2,3,4\niterations=2\nagree=yes\n",
+    ),
+    ("sm --grid 2,2 --points 0,0;0,1;1,0", 0, "0,0\n0,1\n1,0\n"),
+    ("ordstr --grid 3,3 --set 2", 0, "0,0\n0,1\n0,2\n"),
+    ("verify digression", 0, "suite digression: ok (4 checks)\n"),
+]
+
+VERIFY_ALL_JSON_12 = "9eb198ec1d46113fc9f9433e04b223cefc59bca8e3bac2ae8462b2394e5f85e0"
+
+# argv, exit status, last line of stderr.
+CLI_ERRORS = [
+    (
+        "hilbert --grid 3,x --degree 1 --set 2",
+        1,
+        "ParseError: bad grid spec '3,x': expected comma-separated integers",
+    ),
+    (
+        "hilbert --grid 3,3 --degree 1 --set 2,9",
+        1,
+        "WeightOutOfRange: weight 9 outside [0, 4]",
+    ),
+    (
+        "hilbert --grid 3,3 --degree 7 --set 2",
+        1,
+        "DegreeOutOfRange: degree 7 outside [0, 4]",
+    ),
+    (
+        "closure --grid 3,3 --degree 5 --set 1",
+        1,
+        "DegreeOutOfRange: degree 5 outside [0, 4]",
+    ),
+    (
+        "verify nosuch",
+        1,
+        "UnknownSuite: unknown suite 'nosuch'; choose from: grid-hilbert, cube, "
+        "wilson, up-rank, factorization, tail-collapse, interval-rank, "
+        "zstar-lbar, closure-laws, shattering, layers, digression, all",
+    ),
+    (
+        "hilbert --grid 3,3",
+        1,
+        "gridhilbert hilbert: error: the following arguments are required: "
+        "--degree, --set",
+    ),
+    ("sm --grid 2,2", 1, "ParseError: provide exactly one of --set and --points"),
+    (
+        "ordstr --grid 2,2 --set 1 --points 0,0",
+        1,
+        "ParseError: provide exactly one of --set and --points",
+    ),
+]
+
+
+def _run(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "line,code,out", README_EXAMPLES, ids=[e[0] for e in README_EXAMPLES]
+)
+def test_readme_example_bytes(capsys, line, code, out):
+    assert _run(capsys, line.split(" ")) == (code, out, "")
+
+
+def test_verify_all_json_digest(capsys):
+    code, out, err = _run(capsys, ["verify", "all", "--json", "--max-points", "12"])
+    assert (code, err) == (2, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_12
+
+
+@pytest.mark.parametrize("line,code,last", CLI_ERRORS, ids=[e[0] for e in CLI_ERRORS])
+def test_cli_error_line(capsys, line, code, last):
+    got, out, err = _run(capsys, line.split(" "))
+    assert (got, out, err.splitlines()[-1]) == (code, "", last)
+
+
+# ---------------------------------------------------------------- fault pins
+
+_SMALL = Limits(max_points=8, max_cube=3)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_zstar_tables():
+    """The suites cache z*-closure tables; a patched sweep must not leak."""
+    verify._zstar_table.cache_clear()
+    yield
+    verify._zstar_table.cache_clear()
+
+
+def _bump(mp, owner, name, hit):
+    """Patch owner.name to return one more wherever hit(*args) holds."""
+    original = getattr(owner, name)
+    mp.setattr(owner, name, lambda *args: original(*args) + hit(*args))
+
+
+def _drop(mp, owner, name, hit, removed):
+    """Patch owner.name, a set-valued route, to lose one member where hit(*args)."""
+    original = getattr(owner, name)
+
+    def patched(*args):
+        result = original(*args)
+        return type(result)(frozenset(result) - {removed}) if hit(*args) else result
+
+    mp.setattr(owner, name, patched)
+
+
+def _edit_closures(mp, spec, d, mask, edit):
+    """Patch closure.zstar_sweep to yield edit(closure) at one grid, degree and mask."""
+    original = closure.zstar_sweep
+
+    def patched(grid, degree):
+        for m, cl in enumerate(original(grid, degree)):
+            yield edit(cl) if (grid.spec(), degree, m) == (spec, d, mask) else cl
+
+    mp.setattr(closure, "zstar_sweep", patched)
+
+
+def _at(spec, *want):
+    """A hit predicate: the grid's spec, then the remaining arguments as tuples."""
+
+    def hit(grid, *args):
+        got = tuple(tuple(a) if isinstance(a, (tuple, list)) else a for a in args)
+        return (grid.spec(), *got) == (spec, *want)
+
+    return hit
+
+
+def _wilson_duality(mp):
+    _bump(mp, hilbert, "hilbert_closed", _at("2,3", 1, (1,)))
+    mp.setattr(
+        hilbert, "hilbert_layer", lambda g, d, w: hilbert.hilbert_closed(g, d, (w,))
+    )
+
+
+def _rank_short(mp):
+    original = linalg.rank
+
+    def patched(matrix):
+        result = original(matrix)
+        if matrix.row_labels != ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+            return result
+        return dataclasses.replace(result, rank=result.rank - 1)
+
+    mp.setattr(linalg, "rank", patched)
+
+
+def _factorials_doubled(mp):
+    original = linalg.factorial_diag
+    hit = _at("2,4", (3,))
+    mp.setattr(
+        linalg,
+        "factorial_diag",
+        lambda g, ws: original(g, ws).scale(2) if hit(g, ws) else original(g, ws),
+    )
+
+
+def _interval_incompatible(mp):
+    original = hilbert.is_interval_compatible
+
+    def patched(c, d, values):
+        return (c, d, tuple(values)) != (1, 3, (1, 4, 3)) and original(c, d, values)
+
+    mp.setattr(hilbert, "is_interval_compatible", patched)
+
+
+def _two_sided_block(mp):
+    original = closure.t_set
+
+    def patched(N, i):
+        return frozenset({0, 1}) if (N, i) == (3, 1) else original(N, i)
+
+    mp.setattr(closure, "t_set", patched)
+
+
+def _digression_flat(mp):
+    original = hilbert.hilbert_closed
+    mp.setattr(
+        hilbert,
+        "hilbert_closed",
+        lambda g, d, E: original(g, d, (2,) if tuple(E) == (3, 2) else E),
+    )
+
+
+def _layer_weights(*weights):
+    return lambda grid, A: grid.spec() == "2,4" and {sum(p) for p in A} == set(weights)
+
+
+# id -> (suite, fault installer); PINS holds the result under each fault.
+FAULTS = {
+    "grid-hilbert": (
+        "grid-hilbert",
+        lambda mp: _bump(mp, hilbert, "hilbert_closed", _at("2,3", 1, (1, 2))),
+    ),
+    "cube": (
+        "cube",
+        lambda mp: _bump(
+            mp,
+            hilbert,
+            "hilbert_cube_closed",
+            lambda n, d, E: (n, d, tuple(E)) == (3, 1, (0, 2)),
+        ),
+    ),
+    "wilson-single-layer": ("wilson", lambda mp: None),
+    "wilson-duality": ("wilson", _wilson_duality),
+    "up-rank": ("up-rank", _rank_short),
+    "factorization-chain": ("factorization", _factorials_doubled),
+    # An exponent and a point of one weight meet only in the cover sums:
+    # the chain's evaluation blocks pair weight d with a larger weight w.
+    "factorization-cover-sum": (
+        "factorization",
+        lambda mp: _bump(
+            mp,
+            linalg,
+            "falling_factorial_value",
+            lambda a, x: tuple(a) == tuple(x) == (1, 1, 0),
+        ),
+    ),
+    "tail-collapse": (
+        "tail-collapse",
+        lambda mp: _bump(mp, hilbert, "rank_block", _at("2,4", (2,), (3, 4))),
+    ),
+    "interval-rank": ("interval-rank", _interval_incompatible),
+    "zstar-lbar": (
+        "zstar-lbar",
+        lambda mp: _drop(
+            mp, closure, "l_bar", lambda N, d, E: (N, d, tuple(E)) == (3, 1, (0, 1)), 1
+        ),
+    ),
+    "closure-extensive": (
+        "closure-laws",
+        lambda mp: _edit_closures(mp, "2,3", 0, 1, lambda cl: cl - {0}),
+    ),
+    "closure-hilbert-invariance": (
+        "closure-laws",
+        lambda mp: _bump(
+            mp,
+            hilbert,
+            "hilbert_closed",
+            lambda g, d, E: (g.spec(), d, set(E)) == ("2,3", 1, {0, 1, 2, 3}),
+        ),
+    ),
+    "closure-idempotent": (
+        "closure-laws",
+        lambda mp: _edit_closures(mp, "2,3", 0, 1, lambda cl: cl - {1}),
+    ),
+    "closure-builder": (
+        "closure-laws",
+        lambda mp: _edit_closures(mp, "2,3", 0, 7, lambda cl: cl - {3}),
+    ),
+    "closure-degree-antitone": (
+        "closure-laws",
+        lambda mp: _edit_closures(mp, "2,3", 0, 11, lambda cl: cl - {2}),
+    ),
+    "closure-monotone": (
+        "closure-laws",
+        lambda mp: _edit_closures(mp, "2,3", 1, 11, lambda cl: cl - {2}),
+    ),
+    "closure-two-sided-interval": ("closure-laws", _two_sided_block),
+    "shattering": (
+        "shattering",
+        lambda mp: _drop(mp, shattering, "ord_str_mask", _at("2,3", 45), (0, 0)),
+    ),
+    "layers-restriction": (
+        "layers",
+        lambda mp: _drop(mp, shattering, "ord_str", _layer_weights(2), (0, 1)),
+    ),
+    "layers-nesting": (
+        "layers",
+        lambda mp: _drop(mp, shattering, "standard_monomials", _layer_weights(2), (0, 1)),
+    ),
+    "digression": ("digression", _digression_flat),
+}
+
+
+PINS = {
+    "grid-hilbert": SuiteResult(
+        "grid-hilbert",
+        False,
+        143,
+        {
+            "grid": "2,3",
+            "degree": 1,
+            "set": [1, 2],
+            "closed": "4",
+            "oracle": "3",
+        },
+    ),
+    "cube": SuiteResult(
+        "cube",
+        False,
+        54,
+        {
+            "cube": 3,
+            "degree": 1,
+            "set": [0, 2],
+            "binomial": "5",
+            "general": "4",
+        },
+    ),
+    "wilson-single-layer": SuiteResult(
+        "wilson",
+        False,
+        37,
+        {
+            "grid": "2,2",
+            "degree": 2,
+            "weight": 1,
+            "law": "single-layer",
+            "hilbert": "2",
+            "display": "1",
+        },
+    ),
+    "wilson-duality": SuiteResult(
+        "wilson",
+        False,
+        44,
+        {
+            "grid": "2,3",
+            "degree": 1,
+            "weight": 1,
+            "law": "duality",
+            "hilbert": "3",
+            "complement": "2",
+        },
+    ),
+    "up-rank": SuiteResult(
+        "up-rank",
+        False,
+        17,
+        {
+            "grid": "2,2,2",
+            "degree": 1,
+            "rank": "2",
+            "expected": "3",
+        },
+    ),
+    "factorization-chain": SuiteResult(
+        "factorization",
+        False,
+        50,
+        {
+            "grid": "2,4",
+            "degree": 0,
+            "weight": 3,
+            "law": "chain",
+        },
+    ),
+    "factorization-cover-sum": SuiteResult(
+        "factorization",
+        False,
+        101,
+        {
+            "grid": "2,2,2",
+            "function": [0, 1, 0],
+            "point": [1, 1, 0],
+            "weight": 2,
+            "law": "cover-sum",
+            "lhs": "1",
+            "rhs": "2",
+        },
+    ),
+    "tail-collapse": SuiteResult(
+        "tail-collapse",
+        False,
+        8,
+        {
+            "grid": "2,4",
+            "degree": 2,
+            "set": [3, 4],
+            "rank": "3",
+            "collapsed": "2",
+        },
+    ),
+    "interval-rank": SuiteResult(
+        "interval-rank",
+        False,
+        1066,
+        {
+            "grid": "2,4",
+            "interval": [1, 3],
+            "assignment": [[1, 1], [2, 4], [3, 3]],
+            "compatible": False,
+            "rank": "5",
+            "expected": "5",
+        },
+    ),
+    "zstar-lbar": SuiteResult(
+        "zstar-lbar",
+        False,
+        52,
+        {
+            "grid": "2,3",
+            "degree": 1,
+            "set": [0, 1],
+            "zstar": [0, 1, 2, 3],
+            "lbar": [0, 2, 3],
+        },
+    ),
+    "closure-extensive": SuiteResult(
+        "closure-laws",
+        False,
+        798,
+        {
+            "grid": "2,3",
+            "degree": 0,
+            "set": [0],
+            "law": "extensive",
+            "closure": [1, 2, 3],
+        },
+    ),
+    "closure-hilbert-invariance": SuiteResult(
+        "closure-laws",
+        False,
+        936,
+        {
+            "grid": "2,3",
+            "degree": 1,
+            "set": [0, 1],
+            "law": "hilbert-invariance",
+            "hilbert": "3",
+            "closed_hilbert": "4",
+        },
+    ),
+    "closure-idempotent": SuiteResult(
+        "closure-laws",
+        False,
+        800,
+        {
+            "grid": "2,3",
+            "degree": 0,
+            "set": [0],
+            "law": "idempotent",
+            "closure": [0, 2, 3],
+        },
+    ),
+    "closure-builder": SuiteResult(
+        "closure-laws",
+        False,
+        831,
+        {
+            "grid": "2,3",
+            "degree": 0,
+            "set": [0, 1, 2],
+            "law": "closure-builder",
+            "closure": [0, 1, 2],
+        },
+    ),
+    "closure-degree-antitone": SuiteResult(
+        "closure-laws",
+        False,
+        852,
+        {
+            "grid": "2,3",
+            "degree": 0,
+            "set": [0, 1, 3],
+            "law": "degree-antitone",
+        },
+    ),
+    "closure-monotone": SuiteResult(
+        "closure-laws",
+        False,
+        1014,
+        {
+            "grid": "2,3",
+            "degree": 1,
+            "set": [1, 3],
+            "law": "monotone",
+            "superset": [0, 1, 3],
+        },
+    ),
+    "closure-two-sided-interval": SuiteResult(
+        "closure-laws",
+        False,
+        1271,
+        {
+            "grid": "2,3",
+            "degree": 1,
+            "set": [0, 1],
+            "law": "two-sided-interval",
+            "closure": [0, 1, 2, 3],
+            "expected": [0, 1],
+        },
+    ),
+    "shattering": SuiteResult(
+        "shattering",
+        False,
+        90,
+        {
+            "grid": "2,3",
+            "points": [[0, 0], [0, 2], [1, 0], [1, 2]],
+            "ordstr": [[0, 1], [1, 0], [1, 1]],
+            "sm": [[0, 0], [0, 1], [1, 0], [1, 1]],
+        },
+    ),
+    "layers-restriction": SuiteResult(
+        "layers",
+        False,
+        35,
+        {
+            "grid": "2,4",
+            "low": 1,
+            "high": 2,
+            "law": "restriction",
+            "low_layer": [[0, 0], [0, 1]],
+            "high_restricted": [[0, 0]],
+        },
+    ),
+    "layers-nesting": SuiteResult(
+        "layers",
+        False,
+        36,
+        {
+            "grid": "2,4",
+            "low": 1,
+            "high": 2,
+            "law": "nesting",
+            "low_layer": [[0, 0], [0, 1]],
+            "high_layer": [[0, 0]],
+        },
+    ),
+    "digression": SuiteResult(
+        "digression",
+        False,
+        3,
+        {
+            "grid": "3,3",
+            "degree": 1,
+            "added": 3,
+            "pair": "2",
+            "single": "2",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_pin(monkeypatch, fault):
+    suite, install = FAULTS[fault]
+    install(monkeypatch)
+    assert verify_suite(suite, _SMALL) == PINS[fault]
