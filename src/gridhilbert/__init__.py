@@ -63,9 +63,7 @@ from .linalg import (
     up_matrix,
 )
 from .shattering import (
-    MonomialDownset,
     downset_size,
-    is_downward_closed,
     ord_str,
     order_shatters,
     standard_monomials,

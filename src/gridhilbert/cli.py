@@ -180,7 +180,7 @@ def _downset_command(args: argparse.Namespace, kind: str) -> int:
         result = _shattering.standard_monomials(grid, points)
     else:
         result = _shattering.ord_str(grid, points)
-    ordered = sorted(result.members, key=grid.lex_weight)
+    ordered = sorted(result)
     if args.json:
         print(
             json.dumps(

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import WeightOutOfRange
-from .grid import Point, UniformGrid
-from .hilbert import _check_degree, _check_weight_set
+from .grid import Point, UniformGrid, check_degree, check_weight_set
 from .linalg import Span, eval_columns, subset_sweep
 
 
@@ -31,8 +30,8 @@ def l_step(N: int, d: int, E: Iterable[int]) -> frozenset[int]:
     otherwise the result is [0, t_{s-d}] together with E together with
     [t_{d+1}, N].
     """
-    _check_degree(d, N)
-    t = _check_weight_set(E, N)
+    check_degree(d, N)
+    t = check_weight_set(E, N)
     s = len(t)
     if s <= d:
         return frozenset(t)
@@ -43,7 +42,7 @@ def l_step(N: int, d: int, E: Iterable[int]) -> frozenset[int]:
 
 
 def _l_fixpoint(N: int, d: int, E: Iterable[int]) -> tuple[frozenset[int], int]:
-    cur = frozenset(_check_weight_set(E, N))
+    cur = frozenset(check_weight_set(E, N))
     steps = 0
     while True:
         nxt = l_step(N, d, cur)
@@ -87,7 +86,7 @@ def z_closure_points(
     grid: UniformGrid, d: int, points: Iterable[Point]
 ) -> frozenset[Point]:
     """All grid points every degree-<=d polynomial vanishing on the set kills."""
-    _check_degree(d, grid.max_weight)
+    check_degree(d, grid.max_weight)
     pts = tuple(sorted({grid.check_point(p) for p in points}))
     tester = _MembershipTester(grid, d, pts)
     return frozenset(x for x in grid.points() if tester.contains(x))
@@ -95,8 +94,8 @@ def z_closure_points(
 
 def zstar_closure(grid: UniformGrid, d: int, E: Iterable[int]) -> frozenset[int]:
     """Weights whose whole layer lies in the point closure of the unfolded set."""
-    _check_degree(d, grid.max_weight)
-    members = _check_weight_set(E, grid.max_weight)
+    check_degree(d, grid.max_weight)
+    members = check_weight_set(E, grid.max_weight)
     tester = _MembershipTester(grid, d, grid.unfold(members))
     out = set(members)
     for j in range(grid.max_weight + 1):
@@ -115,7 +114,7 @@ def zstar_sweep(grid: UniformGrid, d: int) -> Iterator[frozenset[int]]:
     a layer outside the set joins the closure when each of its points'
     columns lies in the span, the same test as the one-shot route's.
     """
-    _check_degree(d, grid.max_weight)
+    check_degree(d, grid.max_weight)
     columns = eval_columns(grid, d)
     span = Span(len(next(iter(columns.values()))))
     layers = [
@@ -141,7 +140,7 @@ class ClosureReport:
 
 def closure_report(grid: UniformGrid, d: int, E: Iterable[int]) -> ClosureReport:
     N = grid.max_weight
-    members = _check_weight_set(E, N)
+    members = check_weight_set(E, N)
     fix, steps = _l_fixpoint(N, d, members)
     zs = zstar_closure(grid, d, members)
     return ClosureReport(

@@ -6,7 +6,8 @@ ints and double as monomial exponent vectors.  The weight of a point is
 the sum of its coordinates; N denotes the largest weight.  A
 weight-determined subset of the grid is a union of full layers (all
 points of one weight) and is identified with its set of weights, a
-subset of [0, N].
+subset of [0, N].  The degree and weight-set validators here are the
+package's one set of range checks for degrees and weights.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from typing import Iterable, Iterator
 
 from .errors import (
     AritySmallerThanTwo,
+    DegreeOutOfRange,
     EmptyArities,
+    GridError,
     ParseError,
     PointNotInGrid,
     WeightOutOfRange,
@@ -31,6 +34,24 @@ LayerSizes = tuple[int, ...]
 def weight(point: Iterable[int]) -> int:
     """Sum of coordinates."""
     return sum(point)
+
+
+def _in_range(value: int, top: int, what: str, error: type[GridError]) -> int:
+    if not isinstance(value, int) or not 0 <= value <= top:
+        raise error(f"{what} {value!r} outside [0, {top}]")
+    return value
+
+
+def check_degree(d: int, top: int) -> int:
+    """The degree d, checked to lie in [0, top]."""
+    return _in_range(d, top, "degree", DegreeOutOfRange)
+
+
+def check_weight_set(weights: Iterable[int], top: int) -> tuple[int, ...]:
+    """Weights checked to lie in [0, top], as a sorted duplicate-free tuple."""
+    return tuple(
+        sorted({_in_range(w, top, "weight", WeightOutOfRange) for w in weights})
+    )
 
 
 @dataclass(frozen=True)
@@ -83,15 +104,11 @@ class UniformGrid:
         return p
 
     def check_weight(self, j: int) -> int:
-        if not isinstance(j, int) or not 0 <= j <= self.max_weight:
-            raise WeightOutOfRange(
-                f"weight {j!r} outside [0, {self.max_weight}]"
-            )
-        return j
+        return _in_range(j, self.max_weight, "weight", WeightOutOfRange)
 
     def check_weights(self, weights: Iterable[int]) -> tuple[int, ...]:
         """Normalize an iterable of weights to a sorted duplicate-free tuple."""
-        return tuple(sorted({self.check_weight(j) for j in weights}))
+        return check_weight_set(weights, self.max_weight)
 
     @cached_property
     def layer_sizes(self) -> LayerSizes:
@@ -117,22 +134,13 @@ class UniformGrid:
         return tuple(tuple(b) for b in buckets)
 
     def layer(self, j: int) -> tuple[Point, ...]:
-        """Points of weight j, ascending by lex_weight."""
+        """Points of weight j, in ascending lex order."""
         return self._layers[self.check_weight(j)]
 
     def unfold(self, weights: Iterable[int]) -> tuple[Point, ...]:
         """Points of a weight-determined set: ascending weight, lex within a layer."""
         js = self.check_weights(weights)
         return tuple(p for j in js for p in self._layers[j])
-
-    def lex_weight(self, point: Iterable[int]) -> int:
-        """Rank of a point in the lex order, base max(arities)."""
-        p = self.check_point(point)
-        base = max(self.arities)
-        value = 0
-        for a in p:
-            value = value * base + a
-        return value
 
     def is_su2(self) -> bool:
         """Strictly unimodal with a flat middle pair: sizes strictly increase

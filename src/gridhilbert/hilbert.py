@@ -26,22 +26,7 @@ from .errors import (
     SetTooSmall,
     WeightOutOfRange,
 )
-from .grid import UniformGrid, make_grid
-
-
-def _check_degree(d: int, top: int) -> int:
-    if not isinstance(d, int) or not 0 <= d <= top:
-        raise DegreeOutOfRange(f"degree {d!r} outside [0, {top}]")
-    return d
-
-
-def _check_weight_set(members: Iterable[int], top: int) -> tuple[int, ...]:
-    out = []
-    for w in members:
-        if not isinstance(w, int) or not 0 <= w <= top:
-            raise WeightOutOfRange(f"weight {w!r} outside [0, {top}]")
-        out.append(w)
-    return tuple(sorted(set(out)))
+from .grid import UniformGrid, check_degree, check_weight_set, make_grid
 
 
 @dataclass(frozen=True)
@@ -59,8 +44,8 @@ class BEEnumeration:
 
 
 def be_enumeration(N: int, d: int, E: Iterable[int]) -> BEEnumeration:
-    _check_degree(d, N)
-    members = set(_check_weight_set(E, N))
+    check_degree(d, N)
+    members = set(check_weight_set(E, N))
     low = set(range(d + 1))
     return BEEnumeration(
         t_desc=tuple(sorted(low - members, reverse=True)),
@@ -95,8 +80,8 @@ def hilbert_closed(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
 
 def hilbert_rank_oracle(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
     """The same dimension as an exact matrix rank, computed independently."""
-    _check_degree(d, grid.max_weight)
-    E = _check_weight_set(E, grid.max_weight)
+    check_degree(d, grid.max_weight)
+    E = check_weight_set(E, grid.max_weight)
     columns = linalg.eval_columns(grid, d)
     span = linalg.Span(len(next(iter(columns.values()))))
     span.extend(columns[x] for x in grid.unfold(E))
@@ -106,7 +91,7 @@ def hilbert_rank_oracle(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
 def rank_oracle_sweep(grid: UniformGrid, d: int) -> Iterator[int]:
     """hilbert_rank_oracle(grid, d, E) for every weight set E, E given by
     the bits of mask in range(1 << (N + 1)), in mask order."""
-    _check_degree(d, grid.max_weight)
+    check_degree(d, grid.max_weight)
     columns = linalg.eval_columns(grid, d)
     span = linalg.Span(len(next(iter(columns.values()))))
     layers = [
@@ -120,7 +105,7 @@ def hilbert_cube_closed(n: int, d: int, E: Iterable[int]) -> int:
     """Closed form specialized to the Boolean cube: layer sizes are binomials."""
     if not isinstance(n, int) or n < 1:
         raise DegreeOutOfRange(f"cube dimension {n!r} must be a positive integer")
-    _check_degree(d, n)
+    check_degree(d, n)
     be = be_enumeration(n, d, E)
     total = sum(comb(n, w) for w in be.kept)
     total += sum(min(comb(n, t), comb(n, w)) for t, w in zip(be.t_desc, be.w_asc))
@@ -203,7 +188,7 @@ def rank_block(
 def profile_value(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
     """Sum of min(sizes[u], sizes[v]) over the profile pairs."""
     sizes = grid.layer_sizes
-    E = _check_weight_set(E, grid.max_weight)
+    E = check_weight_set(E, grid.max_weight)
     return sum(min(sizes[u], sizes[v]) for u, v in hilbert_profile(d, E))
 
 

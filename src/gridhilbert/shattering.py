@@ -37,7 +37,6 @@ rather than an assumption of the code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -61,31 +60,6 @@ def downset_size(b: Iterable[int]) -> int:
     for v in b:
         out *= v + 1
     return out
-
-
-@dataclass(frozen=True)
-class MonomialDownset:
-    """A set of exponent vectors closed downward under componentwise order."""
-
-    members: frozenset[Point]
-
-    def __contains__(self, point: object) -> bool:
-        return point in self.members
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def is_downward_closed(points: Iterable[Point]) -> bool:
-    members = set(points)
-    for p in members:
-        for i, v in enumerate(p):
-            if v and p[:i] + (v - 1,) + p[i + 1 :] not in members:
-                return False
-    return True
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -146,12 +120,10 @@ def order_shatters(grid: UniformGrid, A: Iterable[Point], b: Iterable[int]) -> b
     return _shatters(steps, S, bit[grid.check_point(b)], {})
 
 
-def ord_str(grid: UniformGrid, A: Iterable[Point]) -> MonomialDownset:
+def ord_str(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:
     """All multisets the point set order-shatters."""
     bit = _shatter_tables(grid)[0]
-    return MonomialDownset(
-        ord_str_mask(grid, sum({1 << bit[grid.check_point(p)] for p in A}))
-    )
+    return ord_str_mask(grid, sum({1 << bit[grid.check_point(p)] for p in A}))
 
 
 def ord_str_mask(grid: UniformGrid, S: int) -> frozenset[Point]:
@@ -188,15 +160,7 @@ def _rows_at(grid: UniformGrid, pts: Iterable[Point]) -> list[tuple[int, ...]]:
     return [table[x] for x in pts]
 
 
-def _sm_exponents(grid: UniformGrid, pts: tuple[Point, ...]) -> frozenset[Point]:
-    # A list, not a generator, under zip(*...): unpacking a generator there
-    # left the shattering sweep's peak RSS about 0.7 MB higher.
-    kept = Span(len(pts)).extend(zip(*_rows_at(grid, pts)))
-    exponents = tuple(grid.points())
-    return frozenset(exponents[j] for j in kept)
-
-
-def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> MonomialDownset:
+def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:
     """Exponents of the monomials surviving the greedy lex footprint scan over A.
 
     One column per grid exponent, scanned in ascending lex order; a
@@ -205,11 +169,15 @@ def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> MonomialDownset
     |A| members and is downward closed.
     """
     pts = tuple(sorted({grid.check_point(p) for p in A}))
-    return MonomialDownset(_sm_exponents(grid, pts))
+    # A list, not a generator, under zip(*...): unpacking a generator there
+    # left the shattering sweep's peak RSS about 0.7 MB higher.
+    kept = Span(len(pts)).extend(zip(*_rows_at(grid, pts)))
+    exponents = tuple(grid.points())
+    return frozenset(exponents[j] for j in kept)
 
 
 def footprint_sweep(grid: UniformGrid) -> Iterator[frozenset[Point]]:
-    """standard_monomials(grid, A).members for every point set A, A given by
+    """standard_monomials(grid, A) for every point set A, A given by
     the bits of mask in range(1 << grid.size) (bit i is the i-th point in
     lex order), in mask order.
 

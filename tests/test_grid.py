@@ -107,16 +107,6 @@ def test_contains_accepts_only_int_tuples_inside_the_ranges():
         assert point not in grid
 
 
-def test_lex_weight_sorts_like_tuples():
-    """Ranking by lex_weight must agree with coordinate-wise comparison."""
-    for arities in [(3, 3), (2, 4), (2, 3, 2)]:
-        grid = make_grid(arities)
-        pts = list(grid.points())
-        ranks = [grid.lex_weight(p) for p in pts]
-        assert len(set(ranks)) == len(pts)
-        assert sorted(pts, key=grid.lex_weight) == sorted(pts)
-
-
 def test_su2_classification():
     assert make_grid((2, 2)).is_su2()
     assert make_grid((2, 3)).is_su2()

@@ -1,0 +1,245 @@
+"""Known mutants of gridhilbert, each with the tests that should kill it.
+
+Usage:
+    python3 tools/mutants.py            run every mutant
+    python3 tools/mutants.py NAME ...   run the named mutants
+
+A mutant is a file, an exact old/new string pair and a pytest selection.
+The old string must occur exactly once in the file, so a refactor that
+moves the code makes the list fail loudly instead of testing nothing.
+The tool copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
+directory and first runs every selection on the unmutated copy, which
+must pass.  Then, per mutant, it makes a fresh copy, applies the
+mutant and runs its selection there, with ``PYTHONPATH`` on the copy's
+``src``.  A mutant is killed when the selection fails or runs out of
+time, and survives when it passes.  The tree itself is never modified.
+
+The exit status is 0 when every mutant was killed, 1 when one survived
+and 2 when the list is stale.  Stdlib only; like ``bench/tests``, this
+is not part of tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "ascending-t-desc",
+        "src/gridhilbert/hilbert.py",
+        "t_desc=tuple(sorted(low - members, reverse=True)),",
+        "t_desc=tuple(sorted(low - members)),",
+        ("tests/test_hilbert.py",),
+    ),
+    Mutant(
+        "wilson-w-before-d",
+        "src/gridhilbert/verify.py",
+        "    for d in range(N + 1):\n"
+        "        for w in range(N + 1):\n"
+        "            value = hilbert.hilbert_closed(grid, d, (w,))\n",
+        "    for w in range(N + 1):\n"
+        "        for d in range(N + 1):\n"
+        "            value = hilbert.hilbert_closed(grid, d, (w,))\n",
+        (
+            "tests/test_acceptance.py::test_criterion_03_single_layer_display_and_duality",
+        ),
+    ),
+    Mutant(
+        "oracle-drops-degree-d-rows",
+        "src/gridhilbert/linalg.py",
+        "picks = [lex[alpha] for alpha in grid.unfold(range(d + 1))]",
+        "picks = [lex[alpha] for alpha in grid.unfold(range(d))]",
+        ("tests/test_hilbert.py",),
+    ),
+    Mutant(
+        "bareiss-skips-zero-multiplier",
+        "src/gridhilbert/linalg.py",
+        "            elif p != prev:\n",
+        "            elif False:\n",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "cut-masks-le",
+        "src/gridhilbert/shattering.py",
+        "if i // s % k < v) for v in range(1, k))",
+        "if i // s % k <= v) for v in range(1, k))",
+        ("tests/test_shattering.py",),
+    ),
+    Mutant(
+        "wrong-tail-stride",
+        "src/gridhilbert/shattering.py",
+        "s = math.prod(grid.arities[t + 1 :])",
+        "s = math.prod(grid.arities[t + 2 :])",
+        ("tests/test_shattering.py",),
+    ),
+    Mutant(
+        "extend-stops-one-early",
+        "src/gridhilbert/linalg.py",
+        "                if len(self._rows) == self.length:\n"
+        "                    break\n",
+        "                if len(self._rows) == self.length - 1:\n"
+        "                    break\n",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "prev-never-updated",
+        "src/gridhilbert/linalg.py",
+        "            prev = p\n",
+        "",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "truncate-no-op",
+        "src/gridhilbert/linalg.py",
+        "        del self._rows[rank:]\n",
+        "        pass\n",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "subset-sweep-without-truncate",
+        "src/gridhilbert/linalg.py",
+        "        span.truncate(floors[-1])\n",
+        "",
+        ("tests/test_sweeps.py",),
+    ),
+    Mutant(
+        "length-check-after-full-return",
+        "src/gridhilbert/linalg.py",
+        "        self._check_length(v)\n"
+        "        if len(self._rows) == self.length:\n"
+        "            return None\n",
+        "        if len(self._rows) == self.length:\n"
+        "            return None\n"
+        "        self._check_length(v)\n",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "footprint-drops-first-pivot",
+        "src/gridhilbert/shattering.py",
+        "yield frozenset(exponents[c] for c in span.pivots)",
+        "yield frozenset(exponents[c] for c in span.pivots[1:])",
+        ("tests/test_sweeps.py",),
+    ),
+    Mutant(
+        "runner-counts-only-passing-checks",
+        "src/gridhilbert/verify.py",
+        "            checked += 1\n"
+        "            if counterexample is not None:\n"
+        "                return SuiteResult(name, False, checked, counterexample)\n",
+        "            if counterexample is not None:\n"
+        "                return SuiteResult(name, False, checked, counterexample)\n"
+        "            checked += 1\n",
+        ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "runner-keeps-last-failure",
+        "src/gridhilbert/verify.py",
+        "    checked = 0\n"
+        "    for grid in grids(limits):\n"
+        "        for counterexample in checks(grid, limits):\n"
+        "            checked += 1\n"
+        "            if counterexample is not None:\n"
+        "                return SuiteResult(name, False, checked, counterexample)\n"
+        "    return SuiteResult(name, True, checked)\n",
+        "    checked, last = 0, None\n"
+        "    for grid in grids(limits):\n"
+        "        for counterexample in checks(grid, limits):\n"
+        "            checked += 1\n"
+        "            if counterexample is not None:\n"
+        "                last = SuiteResult(name, False, checked, counterexample)\n"
+        "    return last or SuiteResult(name, True, checked)\n",
+        ("tests/test_golden.py",),
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tree: Path, tests) -> tuple[bool, float, str]:
+    """Run the selection in tree: whether it passed, its seconds and the
+    last line pytest printed.  A timeout is a failure."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(
+            cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return False, time.perf_counter() - start, f"timeout after {TIMEOUT_S} s"
+    lines = done.stdout.decode(errors="replace").strip().splitlines() or [""]
+    return done.returncode == 0, time.perf_counter() - start, lines[-1]
+
+
+def _stale(mutants) -> list[str]:
+    out = []
+    for m in mutants:
+        count = (ROOT / m.path).read_text().count(m.old)
+        if count != 1:
+            out.append(f"{m.name}: old string found {count} times in {m.path}")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    mutants = [by_name[name] for name in argv] or list(MUTANTS)
+    stale = _stale(mutants)
+    if stale:
+        print("\n".join(stale), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="gridhilbert-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_tree(clean)
+        selections = sorted({t for m in mutants for t in m.tests})
+        passed, seconds, last = _pytest(clean, selections)
+        print(f"unmutated: {'pass' if passed else 'FAIL'} in {seconds:.1f} s: {last}")
+        if not passed:
+            return 2
+        survivors = []
+        for i, m in enumerate(mutants):
+            tree = Path(tmp) / f"m{i}"
+            _copy_tree(tree)
+            target = tree / m.path
+            target.write_text(target.read_text().replace(m.old, m.new))
+            passed, seconds, last = _pytest(tree, m.tests)
+            verdict = "SURVIVED" if passed else "killed"
+            print(f"{m.name:34s} {verdict:8s} {seconds:5.1f} s  {last}", flush=True)
+            if passed:
+                survivors.append(m.name)
+            shutil.rmtree(tree)
+    killed = len(mutants) - len(survivors)
+    print(f"kill rate: {killed}/{len(mutants)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
