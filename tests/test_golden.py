@@ -1,8 +1,9 @@
 """Golden bytes and fault pins: what a refactor of the CLI or the suites must keep.
 
 The CLI half pins, byte for byte, the stdout and exit status of every
-README example, the sha256 of ``verify all --json --max-points 12``,
-and the stderr line and exit status of each class of CLI error.
+README example and of every command's ``--json`` form, the sha256 of
+``verify all --json --max-points 12`` and of each ``--help`` text at 80
+columns, and the stderr line and exit status of each class of CLI error.
 
 The fault half breaks one route of each suite on purpose, by patching
 one module attribute the suite looks up, so that a chosen instance
@@ -46,6 +47,120 @@ README_EXAMPLES = [
     ("ordstr --grid 3,3 --set 2", 0, "0,0\n0,1\n0,2\n"),
     ("verify digression", 0, "suite digression: ok (4 checks)\n"),
 ]
+
+# argv, exit status, stdout of every command's --json form.  The point
+# lists repeat a point, which the payload's "points" lists once.
+JSON_OUTPUTS = [
+    (
+        ["layer-sizes", "--grid", "2,3,4", "--json"],
+        0,
+        '{"grid": "2,3,4", "sizes": ["1", "3", "5", "6", "5", "3", "1"]}\n',
+    ),
+    (
+        ["hilbert", "--grid", "3,3", "--degree", "1", "--set", "2", "--json"],
+        0,
+        '{"grid": "3,3", "degree": 1, "set": [2], "closed": "2", "oracle": "2"}\n',
+    ),
+    (
+        ["hilbert", "--grid", "3,3", "--degree", "1", "--set", "2"]
+        + ["--dump-matrix", "--json"],
+        0,
+        '{"grid": "3,3", "degree": 1, "set": [2], "closed": "2", "oracle": "2", '
+        '"matrix": [["1", "1", "1"], ["2", "1", "0"], ["0", "1", "2"]]}\n',
+    ),
+    (
+        ["be-enum", "--grid", "3,3", "--degree", "1", "--set", "1,3", "--json"],
+        0,
+        '{"grid": "3,3", "degree": 1, "set": [1, 3], "t_desc": [0], "w_asc": [3], '
+        '"kept": [1]}\n',
+    ),
+    (
+        ["profile", "--grid", "3,3", "--degree", "1", "--set", "1,3", "--json"],
+        0,
+        '{"grid": "3,3", "degree": 1, "set": [1, 3], "profile": [[1, 1], [3, 0]], '
+        '"value": "3"}\n',
+    ),
+    (
+        ["closure", "--grid", "3,3", "--degree", "1", "--set", "1,3", "--json"],
+        0,
+        '{"grid": "3,3", "degree": 1, "input": [1, 3], "lbar": [0, 1, 2, 3, 4], '
+        '"zstar": [0, 1, 2, 3, 4], "iterations": 2, "agree": true}\n',
+    ),
+    (
+        ["closure", "--grid", "3", "--degree", "1", "--set", "0,2", "--json"],
+        0,
+        '{"grid": "3", "degree": 1, "input": [0, 2], "lbar": [0, 2], '
+        '"zstar": [0, 1, 2], "iterations": 0, "agree": false}\n',
+    ),
+    (
+        ["sm", "--grid", "3,3", "--set", "2", "--json"],
+        0,
+        '{"grid": "3,3", "points": [[0, 2], [1, 1], [2, 0]], '
+        '"downset": [[0, 0], [0, 1], [0, 2]], "size": 3}\n',
+    ),
+    (
+        ["sm", "--grid", "3,3", "--points", "1,1;0,0;2,2;0,0", "--json"],
+        0,
+        '{"grid": "3,3", "points": [[0, 0], [1, 1], [2, 2]], '
+        '"downset": [[0, 0], [0, 1], [0, 2]], "size": 3}\n',
+    ),
+    (
+        ["sm", "--grid", "3,3", "--points", "", "--json"],
+        0,
+        '{"grid": "3,3", "points": [], "downset": [], "size": 0}\n',
+    ),
+    (
+        ["ordstr", "--grid", "3,3", "--set", "2", "--json"],
+        0,
+        '{"grid": "3,3", "points": [[0, 2], [1, 1], [2, 0]], '
+        '"downset": [[0, 0], [0, 1], [0, 2]], "size": 3}\n',
+    ),
+    (
+        ["ordstr", "--grid", "3,3", "--points", "1,1;0,0;2,2;0,0", "--json"],
+        0,
+        '{"grid": "3,3", "points": [[0, 0], [1, 1], [2, 2]], '
+        '"downset": [[0, 0], [0, 1], [0, 2]], "size": 3}\n',
+    ),
+    (
+        ["ordstr", "--grid", "3,3", "--points", "", "--json"],
+        0,
+        '{"grid": "3,3", "points": [], "downset": [], "size": 0}\n',
+    ),
+    (
+        ["verify", "digression", "--json"],
+        0,
+        '{"suites": [{"name": "digression", "passed": true, "checked": 4, '
+        '"counterexample": null}]}\n',
+    ),
+    (
+        ["verify", "wilson", "--json"],
+        2,
+        '{"suites": [{"name": "wilson", "passed": false, "checked": 37, '
+        '"counterexample": {"grid": "2,2", "degree": 2, "weight": 1, '
+        '"law": "single-layer", "hilbert": "2", "display": "1"}}]}\n',
+    ),
+    # Text forms the README does not show: an empty result prints nothing,
+    # and a disagreement of the closure routes prints agree=no.
+    (["sm", "--grid", "3,3", "--points", ""], 0, ""),
+    (
+        ["closure", "--grid", "3", "--degree", "1", "--set", "0,2"],
+        0,
+        "input=0,2\nlbar=0,2\nzstar=0,1,2\niterations=0\nagree=no\n",
+    ),
+]
+
+# sha256 of the stdout of `gridhilbert [command] --help` at COLUMNS=80.
+HELP_SHA256 = {
+    "": "d493d363b9387af49a27606ad6c77b4ed2f6b87d5f3cddf9e5cee1d6c5ae194c",
+    "hilbert": "9c3152b42454f1d8ccbdee3c72c28c4741765c347670f52b90229c9868595bf9",
+    "layer-sizes": "8e2fb9be3a5d18b4e0135e7995f099a0d2ef6585b1755e475e8f36b40d31c4bd",
+    "be-enum": "68c0333500c3f1576a4b4905fd42d21ca6be429121a2a275b4c5429b2f0b6da0",
+    "profile": "7ea8d3d535dd4ac3c8b18e0213a06e0cb5067fb6d4485d75edccfba4188d7e5a",
+    "closure": "dc6440e0113d79c8648c25a867f317a1fe795da3045bd0d0144d9aba282efcab",
+    "sm": "5ad0cd2d626e9da081c9397ef51915e155fc48213237a14e8167442a7f128574",
+    "ordstr": "e4e42ead83e679fd602010e11e8bab389e0930be6c2da01a1cf9351c5fe1a51d",
+    "verify": "f0d3a3a88f38001ea4158afdb27b92013b1dface68d4d6b7f6960184f6649dae",
+}
 
 VERIFY_ALL_JSON_12 = "9eb198ec1d46113fc9f9433e04b223cefc59bca8e3bac2ae8462b2394e5f85e0"
 
@@ -107,6 +222,21 @@ def _run(capsys, argv):
 )
 def test_readme_example_bytes(capsys, line, code, out):
     assert _run(capsys, line.split(" ")) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv,code,out", JSON_OUTPUTS, ids=[" ".join(e[0]) for e in JSON_OUTPUTS]
+)
+def test_json_and_text_bytes(capsys, argv, code, out):
+    assert _run(capsys, argv) == (code, out, "")
+
+
+@pytest.mark.parametrize("command", HELP_SHA256)
+def test_help_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _run(capsys, [command, "--help"] if command else ["--help"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 def test_verify_all_json_digest(capsys):
