@@ -36,6 +36,7 @@ from .grid import (
     UniformGrid,
     make_grid,
     parse_grid,
+    parse_points,
     parse_weight_set,
     weight,
 )
@@ -56,7 +57,6 @@ from .linalg import (
     ExactMatrix,
     RankResult,
     eval_matrix,
-    eval_matrix_points,
     factorial_diag,
     falling_factorial_value,
     rank,

@@ -1,4 +1,4 @@
-"""Uniform grids: weights, layers, the lex order, and weight-set parsing.
+"""Uniform grids: weights, layers, the lex order, and the text grammar.
 
 A uniform grid is a product of integer ranges [0, k_1 - 1] x ... x
 [0, k_n - 1] with every arity k_i >= 2.  Points are plain tuples of
@@ -172,6 +172,25 @@ def parse_grid(text: str) -> UniformGrid:
     if not all(part.isdecimal() for part in parts):
         raise ParseError(f"bad grid spec {text!r}: expected comma-separated integers")
     return make_grid(int(part) for part in parts)
+
+
+def parse_points(text: str) -> tuple[Point, ...]:
+    """Parse semicolon-separated points of comma-separated coordinates: '0,0;1,2'.
+
+    Coordinates are nonnegative decimal integers, as in parse_grid; the
+    empty string denotes no points.  Grid membership is left to the caller.
+    """
+    text = text.strip()
+    if not text:
+        return ()
+    points = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        tokens = [t.strip() for t in chunk.split(",")]
+        if not all(t.isdecimal() for t in tokens):
+            raise ParseError(f"bad point {chunk!r} in {text!r}")
+        points.append(tuple(int(t) for t in tokens))
+    return tuple(points)
 
 
 def parse_weight_set(text: str, grid: UniformGrid) -> tuple[int, ...]:

@@ -12,24 +12,21 @@ with about two span operations per mask instead of a fresh elimination.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  The
 evaluation columns of a grid and degree are cached.  ExactMatrix holds
-dense int or Fraction matrices with grid-point labels for the matrix
-dumps, the up-rank and factorization suites and the demos; its rank
-clears denominators row by row and adds the columns left to right to a
-Span, so the pivot set is the greedy column basis.
+dense integer matrices with grid-point labels for the matrix dumps, the
+up-rank and factorization suites and the demos; its rank adds the
+columns left to right to a Span, so the pivot set is the greedy column
+basis.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, perm
+from math import factorial, perm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateEntries, LengthMismatch
 from .grid import Point, UniformGrid
-
-Entry = int | Fraction
 
 # Cache bound per grid, or per grid and degree: a sweep uses one grid at a
 # time, with at most 8 degrees in the default family, and a query run few.
@@ -61,7 +58,7 @@ class ExactMatrix:
 
     row_labels: tuple[Point, ...]
     col_labels: tuple[Point, ...]
-    entries: tuple[tuple[Entry, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if len(set(self.row_labels)) != len(self.row_labels):
@@ -82,10 +79,7 @@ class ExactMatrix:
     def n_cols(self) -> int:
         return len(self.col_labels)
 
-    def entry(self, i: int, j: int) -> Entry:
-        return self.entries[i][j]
-
-    def scale(self, c: Entry) -> "ExactMatrix":
+    def scale(self, c: int) -> "ExactMatrix":
         return ExactMatrix(
             self.row_labels,
             self.col_labels,
@@ -104,8 +98,8 @@ class ExactMatrix:
         return ExactMatrix(self.row_labels, other.col_labels, tuple(rows))
 
     def to_lines(self) -> list[str]:
-        """One line per row, entries as exact p/q strings."""
-        return [" ".join(str(Fraction(e)) for e in row) for row in self.entries]
+        """One line per row, entries separated by single spaces."""
+        return [" ".join(str(e) for e in row) for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -218,27 +212,9 @@ def subset_sweep(
         yield mask
 
 
-def _integer_rows(entries: Iterable[Iterable[Entry]]) -> list[list[int]]:
-    """Clear denominators row by row; row scaling does not change rank."""
-    out = []
-    for row in entries:
-        row = list(row)
-        den = 1
-        for e in row:
-            if isinstance(e, Fraction):
-                den = lcm(den, e.denominator)
-        if den == 1:
-            out.append([int(e) for e in row])
-        else:
-            out.append([int(e * den) for e in row])
-    return out
-
-
 def rank(matrix: ExactMatrix) -> RankResult:
     """Exact rank with the leftmost greedy independent column set."""
-    if matrix.n_rows == 0 or matrix.n_cols == 0:
-        return RankResult(0, ())
-    kept = Span(matrix.n_rows).extend(zip(*_integer_rows(matrix.entries)))
+    kept = Span(matrix.n_rows).extend(zip(*matrix.entries))
     return RankResult(len(kept), tuple(kept))
 
 
@@ -267,17 +243,6 @@ def eval_columns(grid: UniformGrid, d: int) -> dict[Point, tuple[int, ...]]:
     return out
 
 
-def eval_matrix_points(
-    row_points: Sequence[Point], col_points: Sequence[Point]
-) -> ExactMatrix:
-    """Falling-factorial evaluation matrix for explicit exponent and point lists."""
-    rows = tuple(
-        tuple(falling_factorial_value(alpha, x) for x in col_points)
-        for alpha in row_points
-    )
-    return ExactMatrix(tuple(row_points), tuple(col_points), rows)
-
-
 def eval_matrix(
     grid: UniformGrid, row_weights: Iterable[int], col_weights: Iterable[int]
 ) -> ExactMatrix:
@@ -287,7 +252,12 @@ def eval_matrix(
     points of the unfolded column weight set, both in canonical order
     (ascending weight, lex within a layer).
     """
-    return eval_matrix_points(grid.unfold(row_weights), grid.unfold(col_weights))
+    rows = grid.unfold(row_weights)
+    cols = grid.unfold(col_weights)
+    entries = tuple(
+        tuple(falling_factorial_value(alpha, x) for x in cols) for alpha in rows
+    )
+    return ExactMatrix(rows, cols, entries)
 
 
 def up_matrix(grid: UniformGrid, d: int) -> ExactMatrix:
@@ -306,18 +276,8 @@ def up_matrix(grid: UniformGrid, d: int) -> ExactMatrix:
 def factorial_diag(grid: UniformGrid, weights: Iterable[int]) -> ExactMatrix:
     """Diagonal matrix of coordinatewise factorials alpha! over a weight set."""
     points = grid.unfold(weights)
-    n = len(points)
     entries = tuple(
-        tuple(
-            _point_factorial(points[i]) if i == j else 0 for j in range(n)
-        )
-        for i in range(n)
+        tuple(prod(map(factorial, alpha)) if alpha == beta else 0 for beta in points)
+        for alpha in points
     )
     return ExactMatrix(points, points, entries)
-
-
-def _point_factorial(alpha: Point) -> int:
-    out = 1
-    for a in alpha:
-        out *= factorial(a)
-    return out

@@ -170,6 +170,17 @@ def test_bad_grid_and_bad_degree(capsys):
     assert "PointNotInGrid" in err
 
 
+@pytest.mark.parametrize("coordinate", ["1_0", "+1", "-1"])
+def test_points_take_only_decimal_digits(capsys, coordinate):
+    """The --points grammar is the grid and weight-set one: int() spellings
+    such as an underscore or a sign are parse errors, not points."""
+    code, out, err = _run(capsys, "sm", "--grid", "3,11", "--points", f"0,{coordinate}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ParseError: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,10 +5,11 @@ import pytest
 
 from gridhilbert import (
     DegreeOutOfRange,
+    ExactMatrix,
     PointNotInGrid,
     WeightOutOfRange,
     closure_report,
-    eval_matrix_points,
+    falling_factorial_value,
     l_bar,
     l_step,
     make_grid,
@@ -17,6 +18,14 @@ from gridhilbert import (
     z_closure_points,
     zstar_closure,
 )
+
+
+def _evaluation_matrix(funcs, pts):
+    """Falling-factorial evaluation matrix of explicit exponent and point lists."""
+    entries = tuple(
+        tuple(falling_factorial_value(alpha, x) for x in pts) for alpha in funcs
+    )
+    return ExactMatrix(funcs, pts, entries)
 
 
 def _closure_by_rank(grid, d, pts):
@@ -30,12 +39,12 @@ def _closure_by_rank(grid, d, pts):
     """
     funcs = grid.unfold(range(d + 1))
     pts = tuple(sorted(set(pts)))
-    base = rank(eval_matrix_points(funcs, pts)).rank
+    base = rank(_evaluation_matrix(funcs, pts)).rank
     out = set(pts)
     for x in grid.points():
         if x in out:
             continue
-        if rank(eval_matrix_points(funcs, pts + (x,))).rank == base:
+        if rank(_evaluation_matrix(funcs, pts + (x,))).rank == base:
             out.add(x)
     return frozenset(out)
 

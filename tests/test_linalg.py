@@ -10,7 +10,6 @@ from gridhilbert import (
     ExactMatrix,
     LengthMismatch,
     eval_matrix,
-    eval_matrix_points,
     factorial_diag,
     falling_factorial_value,
     make_grid,
@@ -95,15 +94,6 @@ def test_scale_and_matmul():
         m @ m
 
 
-def test_to_lines_uses_exact_fractions():
-    m = ExactMatrix(
-        ((0,),),
-        ((0,), (1,)),
-        ((Fraction(1, 3), 2),),
-    )
-    assert m.to_lines() == ["1/3 2"]
-
-
 def test_rank_hand_examples():
     assert rank(_matrix([[1, 2], [2, 4]])).rank == 1
     assert rank(_matrix([[1, 2], [3, 4]])).rank == 2
@@ -125,13 +115,6 @@ def test_rank_matches_reference_on_random_matrices():
             c1, c2 = rng.randint(-3, 3), rng.randint(-3, 3)
             entries[-1] = [c1 * a + c2 * b for a, b in zip(entries[0], entries[n // 2])]
         assert rank(_matrix(entries)).rank == _reference_rank(entries)
-
-
-def test_rank_accepts_fraction_entries():
-    entries = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-    assert rank(_matrix(entries)).rank == _reference_rank(entries)
-    entries = [[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]
-    assert rank(_matrix(entries)).rank == 1
 
 
 def test_rank_on_all_small_eval_matrices():
@@ -365,12 +348,6 @@ def test_eval_matrix_frozen_example():
     assert m.entries == ((2, 1, 0), (0, 1, 2))
 
 
-def test_eval_matrix_points_labels_are_arguments():
-    m = eval_matrix_points(((0, 0), (1, 1)), ((1, 1),))
-    assert m.entries == ((1,), (1,))
-    assert m.row_labels == ((0, 0), (1, 1))
-
-
 def test_up_matrix_frozen_example():
     grid = make_grid((3, 3))
     m = up_matrix(grid, 1)
@@ -386,7 +363,7 @@ def test_up_matrix_entries_are_cover_indicators():
         for i, alpha in enumerate(m.row_labels):
             for j, beta in enumerate(m.col_labels):
                 covers = all(a <= b for a, b in zip(alpha, beta))
-                assert m.entry(i, j) == int(covers)
+                assert m.entries[i][j] == int(covers)
 
 
 def test_factorial_diag():
@@ -396,7 +373,7 @@ def test_factorial_diag():
     for i in range(3):
         for j in range(3):
             expected = _point_factorial(m.row_labels[i]) if i == j else 0
-            assert m.entry(i, j) == expected
+            assert m.entries[i][j] == expected
 
 
 def test_rank_of_wide_product_chain():

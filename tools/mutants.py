@@ -170,6 +170,46 @@ MUTANTS = (
         "    return last or SuiteResult(name, True, checked)\n",
         ("tests/test_golden.py",),
     ),
+    Mutant(
+        "emitter-prints-text-under-json",
+        "src/gridhilbert/cli.py",
+        "    if args.json:\n        print(json.dumps(payload))\n",
+        "    if False:\n        print(json.dumps(payload))\n",
+        ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "downset-points-without-dedupe",
+        "src/gridhilbert/cli.py",
+        "points=[list(p) for p in sorted(set(points))],",
+        "points=[list(p) for p in sorted(points)],",
+        ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "closure-text-always-agrees",
+        "src/gridhilbert/cli.py",
+        "f\"agree={'yes' if agree else 'no'}\",",
+        "\"agree=yes\",",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "rank-feeds-rows",
+        "src/gridhilbert/linalg.py",
+        "kept = Span(matrix.n_rows).extend(zip(*matrix.entries))",
+        "kept = Span(matrix.n_cols).extend(matrix.entries)",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "parse-points-int",
+        "src/gridhilbert/grid.py",
+        "        if not all(t.isdecimal() for t in tokens):\n"
+        "            raise ParseError(f\"bad point {chunk!r} in {text!r}\")\n"
+        "        points.append(tuple(int(t) for t in tokens))\n",
+        "        try:\n"
+        "            points.append(tuple(int(t) for t in tokens))\n"
+        "        except ValueError:\n"
+        "            raise ParseError(f\"bad point {chunk!r} in {text!r}\") from None\n",
+        ("tests/test_cli.py",),
+    ),
 )
 
 
