@@ -22,7 +22,7 @@ from . import linalg as _linalg
 from . import shattering as _shattering
 from . import verify as _verify
 from .errors import GridError, ParseError
-from .grid import UniformGrid, parse_grid, parse_points, parse_weight_set
+from .grid import UniformGrid, _decimal, parse_grid, parse_points, parse_weight_set
 
 _Output = tuple[dict[str, Any], list[str]]
 
@@ -143,7 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 _GRID = ("--grid", dict(required=True, help="arities, e.g. 3,3"))
 _WEIGHTED = (
     _GRID,
-    ("--degree", dict(type=int, required=True)),
+    ("--degree", dict(type=_decimal, required=True)),
     ("--set", dict(required=True, help="weights, e.g. 0,2-4,7")),
 )
 _DUMP = (
@@ -158,8 +158,8 @@ _DOWNSET = (
 _SUITES = f"one of: {', '.join(_verify.SUITES)}, all (default)"
 _VERIFY = (
     ("suite", dict(nargs="?", default="all", help=_SUITES)),
-    ("--max-points", dict(type=int, default=36)),
-    ("--seed", dict(type=int, default=_verify.Limits().seed)),
+    ("--max-points", dict(type=_decimal, default=_verify.Limits().max_points)),
+    ("--seed", dict(type=_decimal, default=_verify.Limits().seed)),
 )
 
 # name -> (function, help, argument specs in declaration order); every

@@ -3,24 +3,25 @@
 Two routes to the same object.  The brute-force route declares a point
 x closed into A when no polynomial of degree at most d vanishing on A
 separates x, i.e. when the evaluation column of x under the falling
-factorials of weight <= d lies in the exact span (linalg.Span) of the
-columns of A; applied layerwise this gives the weight-set closure, one
-set at a time or, for every weight set of a grid and degree, as a sweep
-that shares each set's prefix on one Span.  The combinatorial route
-iterates an interval-filling step operator on the weight set until it
-stabilizes.  On grids whose layer-size table is strictly unimodal with a
-flat middle pair the two routes agree, and the package keeps both so the
-agreement is observable rather than assumed.
+factorials of weight <= d lies in the exact span of the columns of A
+(linalg.layer_span); applied layerwise this gives the weight-set
+closure, one set at a time or, for every weight set of a grid and
+degree, as a sweep that shares each set's prefix on one Span.  The
+combinatorial route iterates an interval-filling step operator on the
+weight set until it stabilizes.  On grids whose layer-size table is
+strictly unimodal with a flat middle pair the two routes agree, and the
+package keeps both so the agreement is observable rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import WeightOutOfRange
 from .grid import Point, UniformGrid, check_degree, check_weight_set
-from .linalg import Span, eval_columns, subset_sweep
+from .linalg import layer_span, subset_sweep
 
 
 def l_step(N: int, d: int, E: Iterable[int]) -> frozenset[int]:
@@ -64,46 +65,24 @@ def t_set(N: int, i: int) -> frozenset[int]:
     return frozenset(range(i)) | frozenset(range(N - i + 1, N + 1))
 
 
-class _MembershipTester:
-    """Rank-increase test against a fixed point set.
-
-    The evaluation columns of the set span a linalg.Span; a point fails to
-    enlarge the rank exactly when it is in the set, the span is already
-    full, or its own evaluation column lies in the span.
-    """
-
-    def __init__(self, grid: UniformGrid, d: int, points: tuple[Point, ...]):
-        self._columns = eval_columns(grid, d)
-        self._span = Span(len(next(iter(self._columns.values()))))
-        self._span.extend(self._columns[p] for p in points)
-        self._members = set(points)
-
-    def contains(self, x: Point) -> bool:
-        return x in self._members or self._columns[x] in self._span
-
-
 def z_closure_points(
     grid: UniformGrid, d: int, points: Iterable[Point]
 ) -> frozenset[Point]:
     """All grid points every degree-<=d polynomial vanishing on the set kills."""
-    check_degree(d, grid.max_weight)
-    pts = tuple(sorted({grid.check_point(p) for p in points}))
-    tester = _MembershipTester(grid, d, pts)
-    return frozenset(x for x in grid.points() if tester.contains(x))
+    span, layers = layer_span(grid, d)
+    pts = {grid.check_point(p) for p in points}
+    columns = dict(zip(grid.unfold(range(grid.max_weight + 1)), chain(*layers)))
+    span.extend(v for x, v in columns.items() if x in pts)
+    return frozenset(x for x, v in columns.items() if x in pts or v in span)
 
 
 def zstar_closure(grid: UniformGrid, d: int, E: Iterable[int]) -> frozenset[int]:
     """Weights whose whole layer lies in the point closure of the unfolded set."""
-    check_degree(d, grid.max_weight)
-    members = check_weight_set(E, grid.max_weight)
-    tester = _MembershipTester(grid, d, grid.unfold(members))
-    out = set(members)
-    for j in range(grid.max_weight + 1):
-        if j in out:
-            continue
-        if all(tester.contains(x) for x in grid.layer(j)):
-            out.add(j)
-    return frozenset(out)
+    E = tuple(E)
+    span, layers = layer_span(grid, d, E)
+    return frozenset(
+        j for j, layer in enumerate(layers) if j in E or all(v in span for v in layer)
+    )
 
 
 def zstar_sweep(grid: UniformGrid, d: int) -> Iterator[frozenset[int]]:
@@ -114,12 +93,7 @@ def zstar_sweep(grid: UniformGrid, d: int) -> Iterator[frozenset[int]]:
     a layer outside the set joins the closure when each of its points'
     columns lies in the span, the same test as the one-shot route's.
     """
-    check_degree(d, grid.max_weight)
-    columns = eval_columns(grid, d)
-    span = Span(len(next(iter(columns.values()))))
-    layers = [
-        [columns[x] for x in grid.layer(w)] for w in range(grid.max_weight + 1)
-    ]
+    span, layers = layer_span(grid, d)
     for mask in subset_sweep(span, layers):
         yield frozenset(
             j

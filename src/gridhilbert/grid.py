@@ -166,12 +166,24 @@ def make_grid(arities: Iterable[int]) -> UniformGrid:
     return UniformGrid(tuple(arities))
 
 
+def _decimal(token: str, error: str = "not a decimal integer") -> int:
+    """The value of a token of decimal digits, else ParseError(error).
+
+    The one integer grammar of the text forms and the CLI flags: int()
+    also takes signs, underscores and spaces, and fails past its digit limit.
+    """
+    if token.isdecimal():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(error)
+
+
 def parse_grid(text: str) -> UniformGrid:
     """Parse a comma-separated arity list such as '3,3'."""
-    parts = [t.strip() for t in text.split(",")]
-    if not all(part.isdecimal() for part in parts):
-        raise ParseError(f"bad grid spec {text!r}: expected comma-separated integers")
-    return make_grid(int(part) for part in parts)
+    error = f"bad grid spec {text!r}: expected comma-separated integers"
+    return make_grid([_decimal(t.strip(), error) for t in text.split(",")])
 
 
 def parse_points(text: str) -> tuple[Point, ...]:
@@ -186,10 +198,8 @@ def parse_points(text: str) -> tuple[Point, ...]:
     points = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
-        tokens = [t.strip() for t in chunk.split(",")]
-        if not all(t.isdecimal() for t in tokens):
-            raise ParseError(f"bad point {chunk!r} in {text!r}")
-        points.append(tuple(int(t) for t in tokens))
+        error = f"bad point {chunk!r} in {text!r}"
+        points.append(tuple(_decimal(t.strip(), error) for t in chunk.split(",")))
     return tuple(points)
 
 
@@ -208,11 +218,11 @@ def parse_weight_set(text: str, grid: UniformGrid) -> tuple[int, ...]:
     for token in text.split(","):
         token = token.strip()
         lo, dash, hi = token.partition("-")
-        if not lo.isdecimal() or (dash and not hi.isdecimal()):
-            raise ParseError(f"bad weight-set token {token!r}")
-        a, b = int(lo), int(hi if dash else lo)
+        error = f"bad weight-set token {token!r}"
+        a = _decimal(lo, error)
+        b = _decimal(hi, error) if dash else a
         if a > b:
-            raise ParseError(f"bad weight-set token {token!r}: empty range")
+            raise ParseError(f"{error}: empty range")
         spans.append((a, b))
     for a, b in sorted(spans):
         if b > grid.max_weight:

@@ -6,15 +6,16 @@ most d contribute their full size, and the remaining layers are matched
 against the unused weights of [0, d], largest against smallest, each
 pair contributing the smaller layer size.  The rank oracle computes the
 same dimension directly as the rank of the points' falling-factorial
-evaluation columns, added one by one to an exact linalg.Span, and exists
-so the closed form is checkable instance by instance.  Its sweep form
-answers every weight set of one grid and degree in mask order, sharing
-each set's prefix on one Span (linalg.subset_sweep).
+evaluation columns (linalg.layer_span), and exists so the closed form
+is checkable instance by instance.  Its sweep form answers every weight
+set of one grid and degree in mask order, sharing each set's prefix on
+one Span (linalg.subset_sweep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -80,23 +81,13 @@ def hilbert_closed(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
 
 def hilbert_rank_oracle(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
     """The same dimension as an exact matrix rank, computed independently."""
-    check_degree(d, grid.max_weight)
-    E = check_weight_set(E, grid.max_weight)
-    columns = linalg.eval_columns(grid, d)
-    span = linalg.Span(len(next(iter(columns.values()))))
-    span.extend(columns[x] for x in grid.unfold(E))
-    return span.rank
+    return linalg.layer_span(grid, d, E)[0].rank
 
 
 def rank_oracle_sweep(grid: UniformGrid, d: int) -> Iterator[int]:
     """hilbert_rank_oracle(grid, d, E) for every weight set E, E given by
     the bits of mask in range(1 << (N + 1)), in mask order."""
-    check_degree(d, grid.max_weight)
-    columns = linalg.eval_columns(grid, d)
-    span = linalg.Span(len(next(iter(columns.values()))))
-    layers = [
-        [columns[x] for x in grid.layer(w)] for w in range(grid.max_weight + 1)
-    ]
+    span, layers = linalg.layer_span(grid, d)
     for _ in linalg.subset_sweep(span, layers):
         yield span.rank
 
@@ -174,14 +165,14 @@ def rank_block(
 ) -> int:
     """Exact rank of the evaluation matrix between two weight-determined sets."""
     rows = grid.check_weights(row_weights)
-    points = grid.unfold(col_weights)
+    cols = grid.check_weights(col_weights)
     if not rows:
         return 0
-    exponents = grid.unfold(range(rows[-1] + 1))
-    picks = [i for i, alpha in enumerate(exponents) if sum(alpha) in rows]
-    columns = linalg.eval_columns(grid, rows[-1])
-    span = linalg.Span(len(picks))
-    span.extend([columns[x][i] for i in picks] for x in points)
+    starts = (0, *accumulate(grid.layer_sizes))
+    runs = [slice(starts[t], starts[t + 1]) for t in rows]
+    span = linalg.Span(sum(grid.layer_sizes[t] for t in rows))
+    layers = linalg.eval_columns(grid, rows[-1])
+    span.extend([e for run in runs for e in v[run]] for w in cols for v in layers[w])
     return span.rank
 
 

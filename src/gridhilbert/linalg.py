@@ -3,15 +3,17 @@
 Every exact rank question of the package goes through Span, an
 incremental fraction-free (Bareiss) span of integer vectors: the rank
 oracle and the block ranks add evaluation columns to it, the closure
-tester asks whether a column lies in it, and the footprint scan keeps
+routes ask whether a column lies in it, and the footprint scan keeps
 the monomial columns that enlarge it.  Nothing here ever rounds.  A
 stored row depends only on the rows before it, so Span.truncate(r)
 leaves exactly the span of the first r stored rows; subset_sweep uses
 that to visit every union of a list of blocks in increasing mask order
 with about two span operations per mask instead of a fresh elimination.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
-lex-first column basis, the same set a column scan keeps.  The
-evaluation columns of a grid and degree are cached.  ExactMatrix holds
+lex-first column basis, the same set a column scan keeps.  Only this
+module knows the layout of the cached evaluation table (eval_columns);
+layer_span returns a Span of chosen layers' columns, on which the rank
+oracle, its sweep and the closure routes are built.  ExactMatrix holds
 dense integer matrices with grid-point labels for the matrix dumps, the
 up-rank and factorization suites and the demos; its rank adds the
 columns left to right to a Span, so the pivot set is the greedy column
@@ -26,11 +28,13 @@ from math import factorial, perm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateEntries, LengthMismatch
-from .grid import Point, UniformGrid
+from .grid import Point, UniformGrid, check_degree, check_weight_set
 
 # Cache bound per grid, or per grid and degree: a sweep uses one grid at a
 # time, with at most 8 degrees in the default family, and a query run few.
 _GRID_CACHE_SIZE = 8
+
+_Columns = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def falling_factorial_value(alpha: Sequence[int], beta: Sequence[int]) -> int:
@@ -219,13 +223,14 @@ def rank(matrix: ExactMatrix) -> RankResult:
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
-def eval_columns(grid: UniformGrid, d: int) -> dict[Point, tuple[int, ...]]:
-    """Per grid point, its values under every falling factorial of weight <= d.
+def eval_columns(grid: UniformGrid, d: int) -> _Columns:
+    """Per weight w, the columns of layer w's points in lex order.
 
-    Entries follow grid.unfold(range(d + 1)).  Each point's values over
-    the box of exponents below min(d, k_i - 1) + 1 per coordinate are the
-    Kronecker product of per-coordinate falling-factorial vectors, in lex
-    order; the exponents of weight <= d are then picked out of it.
+    A column holds the point's values under the falling factorials of
+    weight <= d in grid.unfold(range(d + 1)) order, so exponent weight t
+    is a run at offset sum(grid.layer_sizes[:t]).  They are picked from
+    the Kronecker product of per-coordinate vectors over the box of
+    exponents below min(d, k_i - 1) + 1 per coordinate, in lex order.
     """
     box = [min(d, k - 1) + 1 for k in grid.arities]
     lex = {alpha: i for i, alpha in enumerate(itertools.product(*map(range, box)))}
@@ -234,13 +239,29 @@ def eval_columns(grid: UniformGrid, d: int) -> dict[Point, tuple[int, ...]]:
         [[perm(x, a) for a in range(m)] for x in range(k)]
         for k, m in zip(grid.arities, box)
     ]
-    out = {}
+    out = [[] for _ in grid.layer_sizes]
     for x in grid.points():
         values = [1]
         for table, xi in zip(tables, x):
             values = [u * w for u in values for w in table[xi]]
-        out[x] = tuple(map(values.__getitem__, picks))
-    return out
+        out[sum(x)].append(tuple(map(values.__getitem__, picks)))
+    return tuple(map(tuple, out))
+
+
+def layer_span(
+    grid: UniformGrid, d: int, weights: Iterable[int] = ()
+) -> tuple[Span, _Columns]:
+    """A Span of the given layers' columns, and eval_columns(grid, d).
+
+    The degree is checked before the weights.  The span's length is the
+    number of exponents of weight <= d, the length of every column.
+    """
+    check_degree(d, grid.max_weight)
+    weights = check_weight_set(weights, grid.max_weight)
+    layers = eval_columns(grid, d)
+    span = Span(sum(grid.layer_sizes[: d + 1]))
+    span.extend(v for w in weights for v in layers[w])
+    return span, layers
 
 
 def eval_matrix(

@@ -47,8 +47,11 @@ class Limits:
     max_points: int = 36
     max_cube: int = 6
     seed: int = 1729
-    interval_samples: int = 200
-    shatter_samples: int = 500
+
+
+# Seeded draws per grid of the interval-rank and sampled shattering suites.
+_INTERVAL_SAMPLES = 200
+_SHATTER_SAMPLES = 500
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class SuiteResult:
 
 
 def verification_family(
-    max_points: int = 36, max_cube: int = 6
+    max_points: int = Limits.max_points, max_cube: int = Limits.max_cube
 ) -> tuple[UniformGrid, ...]:
     """The default grid family, smallest first.
 
@@ -228,7 +231,7 @@ def _interval_rank(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
     N = grid.max_weight
     sizes = grid.layer_sizes
     rng = random.Random(f"{limits.seed}:interval-rank:{grid.spec()}")
-    for _ in range(limits.interval_samples):
+    for _ in range(_INTERVAL_SAMPLES):
         d = rng.randint(0, N)
         c = rng.randint(0, d)
         span = list(range(c, d + 1))
@@ -345,7 +348,7 @@ def _shattering(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
         rng = random.Random(f"{limits.seed}:shattering:{grid.spec()}")
         instances = (
             _sampled_instance(grid, pts, rng.sample(range(n), rng.randint(0, n)))
-            for _ in range(limits.shatter_samples)
+            for _ in range(_SHATTER_SAMPLES)
         )
     else:
         return

@@ -197,6 +197,36 @@ def test_superscript_digits_are_parse_errors(capsys, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("layer-sizes", "--grid", "3," + "1" * 5000),
+        ("hilbert", "--grid", "3,3", "--degree", "1", "--set", "1" * 5000),
+        ("sm", "--grid", "3,3", "--points", "0," + "1" * 5000),
+    ],
+)
+def test_integers_past_the_int_digit_limit_are_parse_errors(capsys, argv):
+    """int() refuses decimal strings of more than 4300 digits with a plain
+    ValueError; the text grammar reports it as one ParseError line."""
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ParseError: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("flag", ["--max-points", "--seed"])
+@pytest.mark.parametrize("value", ["1_0", "+1", " 1", "\u00b2"])
+def test_verify_flags_take_only_decimal_digits(capsys, flag, value):
+    """--degree, --max-points and --seed share the text grammar's integers."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "digression", flag, value])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"argument {flag}: invalid _decimal value: {value!r}\n")
+
+
 def test_huge_weight_range_fails_before_expansion(capsys):
     code, out, err = _run(
         capsys, "hilbert", "--grid", "3,3", "--degree", "1", "--set", "0-3000000"

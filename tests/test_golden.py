@@ -199,6 +199,16 @@ CLI_ERRORS = [
         "gridhilbert hilbert: error: the following arguments are required: "
         "--degree, --set",
     ),
+    (
+        "hilbert --grid 3,11 --degree 1_0 --set 2",
+        1,
+        "gridhilbert hilbert: error: argument --degree: invalid _decimal value: '1_0'",
+    ),
+    (
+        "hilbert --grid 3,3 --degree x --set 2",
+        1,
+        "gridhilbert hilbert: error: argument --degree: invalid _decimal value: 'x'",
+    ),
     ("sm --grid 2,2", 1, "ParseError: provide exactly one of --set and --points"),
     (
         "ordstr --grid 2,2 --set 1 --points 0,0",

@@ -20,7 +20,9 @@ from gridhilbert import (
     l_bar,
     make_grid,
     ord_str,
+    rank_block,
     standard_monomials,
+    z_closure_points,
     zstar_closure,
 )
 from gridhilbert.closure import zstar_sweep
@@ -71,6 +73,8 @@ def test_rank_closure_and_footprint_routes_avoid_closed_forms_and_recursion():
         runs += [
             (hilbert_rank_oracle, grid, d, E),
             (rank_oracle_sweep, grid, d),
+            (rank_block, grid, range(d + 1), E),
+            (z_closure_points, grid, d, points),
             (zstar_closure, grid, d, E),
             (zstar_sweep, grid, d),
         ]

@@ -201,13 +201,36 @@ MUTANTS = (
     Mutant(
         "parse-points-int",
         "src/gridhilbert/grid.py",
-        "        if not all(t.isdecimal() for t in tokens):\n"
-        "            raise ParseError(f\"bad point {chunk!r} in {text!r}\")\n"
-        "        points.append(tuple(int(t) for t in tokens))\n",
-        "        try:\n"
-        "            points.append(tuple(int(t) for t in tokens))\n"
-        "        except ValueError:\n"
-        "            raise ParseError(f\"bad point {chunk!r} in {text!r}\") from None\n",
+        'points.append(tuple(_decimal(t.strip(), error) for t in chunk.split(",")))',
+        'points.append(tuple(int(t) for t in chunk.split(",")))',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "rank-block-runs-one-layer-late",
+        "src/gridhilbert/hilbert.py",
+        "starts = (0, *accumulate(grid.layer_sizes))",
+        "starts = tuple(accumulate(grid.layer_sizes))",
+        ("tests/test_hilbert.py",),
+    ),
+    Mutant(
+        "layer-span-sized-below-degree",
+        "src/gridhilbert/linalg.py",
+        "span = Span(sum(grid.layer_sizes[: d + 1]))",
+        "span = Span(sum(grid.layer_sizes[:d]))",
+        ("tests/test_hilbert.py",),
+    ),
+    Mutant(
+        "z-closure-columns-in-grid-order",
+        "src/gridhilbert/closure.py",
+        "columns = dict(zip(grid.unfold(range(grid.max_weight + 1)), chain(*layers)))",
+        "columns = dict(zip(grid.points(), chain(*layers)))",
+        ("tests/test_closure.py",),
+    ),
+    Mutant(
+        "decimal-takes-int-spellings",
+        "src/gridhilbert/grid.py",
+        "    if token.isdecimal():\n",
+        "    if True:\n",
         ("tests/test_cli.py",),
     ),
 )
