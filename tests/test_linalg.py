@@ -348,6 +348,31 @@ def test_eval_matrix_frozen_example():
     assert m.entries == ((2, 1, 0), (0, 1, 2))
 
 
+def test_eval_matrix_entries_are_falling_factorial_values():
+    """Every entry is the pointwise definition at its labels, for every pair of
+    row and column weight sets, empty ones included."""
+    for arities in [(3, 3), (2, 4), (2, 2, 2), (5, 2)]:
+        grid = make_grid(arities)
+        n = grid.max_weight
+        value = {
+            (alpha, x): falling_factorial_value(alpha, x)
+            for alpha in grid.points()
+            for x in grid.points()
+        }
+        subsets = [
+            [w for w in range(n + 1) if mask >> w & 1] for mask in range(1 << (n + 1))
+        ]
+        for rows in subsets:
+            for cols in subsets:
+                m = eval_matrix(grid, rows, cols)
+                assert m.row_labels == grid.unfold(rows)
+                assert m.col_labels == grid.unfold(cols)
+                assert m.entries == tuple(
+                    tuple(value[alpha, x] for x in m.col_labels)
+                    for alpha in m.row_labels
+                ), (arities, rows, cols)
+
+
 def test_up_matrix_frozen_example():
     grid = make_grid((3, 3))
     m = up_matrix(grid, 1)

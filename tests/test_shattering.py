@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_linalg import _greedy_columns
+
 from gridhilbert import (
     EmptyMultiset,
     PointNotInGrid,
@@ -81,6 +83,33 @@ def test_standard_monomials_frozen_examples():
     assert set(standard_monomials(grid, grid.layer(2))) == {(0, 0), (0, 1), (0, 2)}
     grid = make_grid((2, 2))
     assert set(standard_monomials(grid, ((0, 0), (1, 1)))) == {(0, 0), (0, 1)}
+
+
+def _power_basis_footprint(grid, A):
+    """The definition: the greedy lex scan over the values x**alpha, by
+    Fraction rank, one column per grid exponent in lex order."""
+    exponents = list(grid.points())
+    pts = sorted(set(A))
+    entries = [
+        [math.prod(a**e for a, e in zip(x, alpha)) for alpha in exponents]
+        for x in pts
+    ]
+    return {exponents[j] for j in _greedy_columns(entries, len(exponents))}
+
+
+def test_standard_monomials_match_the_power_basis_scan():
+    for arities in [(2, 2), (3, 2), (2, 3), (2, 2, 2)]:
+        grid = make_grid(arities)
+        pts = list(grid.points())
+        for mask in range(1 << len(pts)):
+            A = [p for i, p in enumerate(pts) if mask >> i & 1]
+            assert set(standard_monomials(grid, A)) == _power_basis_footprint(grid, A)
+    rng = random.Random(20261018)
+    grid = make_grid((4, 3, 2))
+    pts = list(grid.points())
+    for _ in range(16):
+        A = rng.sample(pts, rng.randint(0, len(pts)))
+        assert set(standard_monomials(grid, A)) == _power_basis_footprint(grid, A)
 
 
 def test_downset_container_protocol():
