@@ -106,10 +106,6 @@ class UniformGrid:
     def check_weight(self, j: int) -> int:
         return _in_range(j, self.max_weight, "weight", WeightOutOfRange)
 
-    def check_weights(self, weights: Iterable[int]) -> tuple[int, ...]:
-        """Normalize an iterable of weights to a sorted duplicate-free tuple."""
-        return check_weight_set(weights, self.max_weight)
-
     @cached_property
     def layer_sizes(self) -> LayerSizes:
         """Points per weight: coefficients of prod_i (1 + x + ... + x^(k_i-1)).
@@ -139,7 +135,7 @@ class UniformGrid:
 
     def unfold(self, weights: Iterable[int]) -> tuple[Point, ...]:
         """Points of a weight-determined set: ascending weight, lex within a layer."""
-        js = self.check_weights(weights)
+        js = check_weight_set(weights, self.max_weight)
         return tuple(p for j in js for p in self._layers[j])
 
     def is_su2(self) -> bool:

@@ -9,13 +9,13 @@ same dimension directly as the rank of the points' falling-factorial
 evaluation columns (linalg.layer_span), and exists so the closed form
 is checkable instance by instance.  Its sweep form answers every weight
 set of one grid and degree in mask order, sharing each set's prefix on
-one Span (linalg.subset_sweep).
+one Span (linalg.subset_sweep).  rank_block ranks the columns that
+linalg.eval_block cuts from the same table, so no layout is known here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -164,16 +164,9 @@ def rank_block(
     grid: UniformGrid, row_weights: Iterable[int], col_weights: Iterable[int]
 ) -> int:
     """Exact rank of the evaluation matrix between two weight-determined sets."""
-    rows = grid.check_weights(row_weights)
-    cols = grid.check_weights(col_weights)
-    if not rows:
-        return 0
-    starts = (0, *accumulate(grid.layer_sizes))
-    runs = [slice(starts[t], starts[t + 1]) for t in rows]
-    span = linalg.Span(sum(grid.layer_sizes[t] for t in rows))
-    layers = linalg.eval_columns(grid, rows[-1])
-    span.extend([e for run in runs for e in v[run]] for w in cols for v in layers[w])
-    return span.rank
+    columns = linalg.eval_block(grid, row_weights, col_weights)
+    span = linalg.Span(len(columns[0]) if columns else 0)
+    return len(span.extend(columns))
 
 
 def profile_value(grid: UniformGrid, d: int, E: Iterable[int]) -> int:

@@ -10,11 +10,14 @@ leaves exactly the span of the first r stored rows; subset_sweep uses
 that to visit every union of a list of blocks in increasing mask order
 with about two span operations per mask instead of a fresh elimination.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
-lex-first column basis, the same set a column scan keeps.  Only this
-module knows the layout of the cached evaluation table (eval_columns);
-layer_span returns a Span of chosen layers' columns, on which the rank
-oracle, its sweep and the closure routes are built.  ExactMatrix holds
-dense integer matrices with grid-point labels for the matrix dumps, the
+lex-first column basis, the same set a column scan keeps.  One builder,
+falling_factorial_rows, makes every falling-factorial table: the cached
+evaluation table (eval_columns) picks graded runs from its rows and the
+footprint scans read full rows.  Only this module knows the table's
+layout: layer_span returns a Span of chosen layers' columns for the rank
+oracle, its sweep and the closure routes, and eval_block cuts row-weight
+runs from it for rank_block and eval_matrix.  ExactMatrix holds dense
+integer matrices with grid-point labels for the matrix dumps, the
 up-rank and factorization suites and the demos; its rank adds the
 columns left to right to a Span, so the pivot set is the greedy column
 basis.
@@ -222,30 +225,55 @@ def rank(matrix: ExactMatrix) -> RankResult:
     return RankResult(len(kept), tuple(kept))
 
 
+def falling_factorial_rows(
+    grid: UniformGrid, box: Sequence[int], points: Iterable[Point]
+) -> Iterator[list[int]]:
+    """Per point x, the values x^(alpha) for the exponents alpha < box in
+    lex order: the Kronecker product of the rows perm(x_i, a), a < box[i].
+    """
+    tables = [
+        [[perm(x, a) for a in range(m)] for x in range(k)]
+        for k, m in zip(grid.arities, box)
+    ]
+    for x in points:
+        values = [1]
+        for table, xi in zip(tables, x):
+            values = [u * w for u in values for w in table[xi]]
+        yield values
+
+
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
 def eval_columns(grid: UniformGrid, d: int) -> _Columns:
     """Per weight w, the columns of layer w's points in lex order.
 
     A column holds the point's values under the falling factorials of
     weight <= d in grid.unfold(range(d + 1)) order, so exponent weight t
-    is a run at offset sum(grid.layer_sizes[:t]).  They are picked from
-    the Kronecker product of per-coordinate vectors over the box of
-    exponents below min(d, k_i - 1) + 1 per coordinate, in lex order.
+    is a run at offset sum(grid.layer_sizes[:t]), picked from the rows
+    of falling_factorial_rows with box min(d, k_i - 1) + 1.
     """
     box = [min(d, k - 1) + 1 for k in grid.arities]
     lex = {alpha: i for i, alpha in enumerate(itertools.product(*map(range, box)))}
     picks = [lex[alpha] for alpha in grid.unfold(range(d + 1))]
-    tables = [
-        [[perm(x, a) for a in range(m)] for x in range(k)]
-        for k, m in zip(grid.arities, box)
-    ]
     out = [[] for _ in grid.layer_sizes]
-    for x in grid.points():
-        values = [1]
-        for table, xi in zip(tables, x):
-            values = [u * w for u in values for w in table[xi]]
+    rows = falling_factorial_rows(grid, box, grid.points())
+    for x, values in zip(grid.points(), rows):
         out[sum(x)].append(tuple(map(values.__getitem__, picks)))
     return tuple(map(tuple, out))
+
+
+def eval_block(
+    grid: UniformGrid, row_weights: Iterable[int], col_weights: Iterable[int]
+) -> list[list[int]]:
+    """Per point of the unfolded column weight set, its values under the
+    falling factorials of the unfolded row weight set, both in canonical
+    order: each row weight's run, cut from eval_columns(grid, max row weight).
+    """
+    rows = check_weight_set(row_weights, grid.max_weight)
+    cols = check_weight_set(col_weights, grid.max_weight)
+    starts = (0, *itertools.accumulate(grid.layer_sizes))
+    runs = [slice(starts[t], starts[t + 1]) for t in rows]
+    layers = eval_columns(grid, max(rows, default=0))
+    return [[e for run in runs for e in v[run]] for w in cols for v in layers[w]]
 
 
 def layer_span(
@@ -270,15 +298,14 @@ def eval_matrix(
     """Evaluation matrix between two weight-determined sets.
 
     Rows are the exponents of the unfolded row weight set, columns the
-    points of the unfolded column weight set, both in canonical order
-    (ascending weight, lex within a layer).
+    points of the unfolded column weight set, both in canonical order;
+    column j is eval_block's j-th column.
     """
+    row_weights, col_weights = tuple(row_weights), tuple(col_weights)
+    block = eval_block(grid, row_weights, col_weights)
     rows = grid.unfold(row_weights)
-    cols = grid.unfold(col_weights)
-    entries = tuple(
-        tuple(falling_factorial_value(alpha, x) for x in cols) for alpha in rows
-    )
-    return ExactMatrix(rows, cols, entries)
+    entries = tuple(zip(*block)) if block else ((),) * len(rows)
+    return ExactMatrix(rows, grid.unfold(col_weights), entries)
 
 
 def up_matrix(grid: UniformGrid, d: int) -> ExactMatrix:

@@ -22,16 +22,21 @@ part is the whole group.  The memo lives for one call, and ord_str_mask
 takes the point set as its mask directly.
 
 Standard monomials are computed by a separate route with no shattering
-in it: scan the monomials X^alpha for alpha in the grid in ascending
-lex order, add each one's evaluation column over A to an exact
-linalg.Span, keep those that enlarge it, and stop once |A| are kept.
-The footprint sweep gives the same sets for every point set of a grid
-in mask order by plain linear algebra: each point adds its row of all
-grid monomials to one Span, prefixes are shared (linalg.subset_sweep),
-and the row pivots, the lex-first column basis, are the standard
-monomials.  The two routes coincide on every set of grid points, and
-that equality is part of the verification surface of this package
-rather than an assumption of the code.
+in it: scan the monomials X^alpha for alpha in the grid in ascending lex
+order, add each one's evaluation column over A to an exact linalg.Span,
+keep those that enlarge it, and stop once |A| are kept.  The columns
+hold falling-factorial values (linalg.falling_factorial_rows), not
+powers, and both scans keep the same exponents: x^(alpha) is x^alpha
+plus multiples of x^beta with beta <= alpha componentwise and beta !=
+alpha, each lex-smaller than alpha, so the first m exponents in lex
+order span the same column space in either basis.  The footprint sweep
+gives the same sets for every point set of a grid in mask order by plain
+linear algebra: each point adds its row of all grid falling factorials
+to one Span, prefixes are shared (linalg.subset_sweep), and the row
+pivots, the lex-first column basis, are the standard monomials.  The two
+routes coincide on every set of grid points, and that equality is part
+of the verification surface of this package rather than an assumption of
+the code.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyMultiset
 from .grid import Point, UniformGrid
-from .linalg import _GRID_CACHE_SIZE, Span, subset_sweep
+from .linalg import _GRID_CACHE_SIZE, Span, falling_factorial_rows, subset_sweep
 
 
 def tau(b: Iterable[int]) -> int:
@@ -137,29 +142,6 @@ def ord_str_mask(grid: UniformGrid, S: int) -> frozenset[Point]:
     return frozenset(b for b, j in bit.items() if _shatters(steps, S, j, memo))
 
 
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _monomial_rows(grid: UniformGrid) -> dict[Point, tuple[int, ...]]:
-    """Per point, the values of every grid monomial at it, in lex order.
-
-    Filled on first use of each point: the Kronecker product of the
-    per-coordinate power vectors (x_i^0, ..., x_i^(k_i - 1)).
-    """
-    return {}
-
-
-def _rows_at(grid: UniformGrid, pts: Iterable[Point]) -> list[tuple[int, ...]]:
-    """The monomial rows of the points, filling the grid's table as needed."""
-    table = _monomial_rows(grid)
-    for x in pts:
-        if x not in table:
-            values = [1]
-            for xi, k in zip(x, grid.arities):
-                powers = [xi**a for a in range(k)]
-                values = [u * w for u in values for w in powers]
-            table[x] = tuple(values)
-    return [table[x] for x in pts]
-
-
 def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:
     """Exponents of the monomials surviving the greedy lex footprint scan over A.
 
@@ -171,7 +153,8 @@ def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point
     pts = tuple(sorted({grid.check_point(p) for p in A}))
     # A list, not a generator, under zip(*...): unpacking a generator there
     # left the shattering sweep's peak RSS about 0.7 MB higher.
-    kept = Span(len(pts)).extend(zip(*_rows_at(grid, pts)))
+    rows = list(falling_factorial_rows(grid, grid.arities, pts))
+    kept = Span(len(pts)).extend(zip(*rows))
     exponents = tuple(grid.points())
     return frozenset(exponents[j] for j in kept)
 
@@ -181,13 +164,13 @@ def footprint_sweep(grid: UniformGrid) -> Iterator[frozenset[Point]]:
     the bits of mask in range(1 << grid.size) (bit i is the i-th point in
     lex order), in mask order.
 
-    Each point of A adds its full monomial row to one Span (the prefix of
-    each set is shared, linalg.subset_sweep).  The pivot positions of a
-    Span fed the rows of a matrix form its lex-first column basis, so they
-    are the monomials the column scan keeps.
+    Each point of A adds its full falling-factorial row to one Span (the
+    prefix of each set is shared, linalg.subset_sweep).  The pivot
+    positions of a Span fed the rows of a matrix form its lex-first column
+    basis, so they are the monomials the column scan keeps.
     """
     exponents = tuple(grid.points())
     span = Span(len(exponents))
-    blocks = [[row] for row in _rows_at(grid, exponents)]
+    blocks = [[row] for row in falling_factorial_rows(grid, grid.arities, exponents)]
     for _ in subset_sweep(span, blocks):
         yield frozenset(exponents[c] for c in span.pivots)

@@ -207,10 +207,40 @@ MUTANTS = (
     ),
     Mutant(
         "rank-block-runs-one-layer-late",
-        "src/gridhilbert/hilbert.py",
-        "starts = (0, *accumulate(grid.layer_sizes))",
-        "starts = tuple(accumulate(grid.layer_sizes))",
+        "src/gridhilbert/linalg.py",
+        "starts = (0, *itertools.accumulate(grid.layer_sizes))",
+        "starts = tuple(itertools.accumulate(grid.layer_sizes))",
         ("tests/test_hilbert.py",),
+    ),
+    Mutant(
+        "eval-matrix-runs-one-layer-late",
+        "src/gridhilbert/linalg.py",
+        "starts = (0, *itertools.accumulate(grid.layer_sizes))",
+        "starts = tuple(itertools.accumulate(grid.layer_sizes))",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "eval-matrix-transposed",
+        "src/gridhilbert/linalg.py",
+        "entries = tuple(zip(*block)) if block else ((),) * len(rows)",
+        "entries = tuple(map(tuple, block)) if block else ((),) * len(rows)",
+        ("tests/test_linalg.py",),
+    ),
+    Mutant(
+        "falling-factorials-as-powers",
+        "src/gridhilbert/linalg.py",
+        "[[perm(x, a) for a in range(m)] for x in range(k)]",
+        "[[x**a for a in range(m)] for x in range(k)]",
+        (
+            "tests/test_acceptance.py::test_criterion_05_factorization_through_cover_chains",
+        ),
+    ),
+    Mutant(
+        "footprint-rows-in-graded-order",
+        "src/gridhilbert/shattering.py",
+        "falling_factorial_rows(grid, grid.arities, exponents)",
+        "falling_factorial_rows(grid, grid.arities, sorted(exponents, key=sum))",
+        ("tests/test_sweeps.py",),
     ),
     Mutant(
         "layer-span-sized-below-degree",
