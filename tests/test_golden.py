@@ -11,8 +11,10 @@ fails, and pins the whole SuiteResult the suite then returns: its
 number of checks up to and including the failure, and the
 counterexample dict key for key.  Between them the pins cover every
 counterexample shape the suites can emit.  The sampled branch of the
-shattering suite (grids of 17 to 27 points) is left to the mutant list
-in tools/mutants.py, because reaching it costs seconds.
+shattering suite (grids of 17 to 27 points) is pinned on its own: its
+check generator runs on one 18-point grid at the default seed, with one
+early draw broken, so the pin holds the draws up to the failure and the
+payload without running the whole suite.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ import hashlib
 
 import pytest
 
-from gridhilbert import closure, hilbert, linalg, shattering, verify
+from gridhilbert import closure, hilbert, linalg, make_grid, shattering, verify
 from gridhilbert.cli import main
 from gridhilbert.verify import Limits, SuiteResult, verify_suite
 
@@ -725,3 +727,23 @@ def test_fault_pin(monkeypatch, fault):
     suite, install = FAULTS[fault]
     install(monkeypatch)
     assert verify_suite(suite, _SMALL) == PINS[fault]
+
+
+# The first drawn set of four points on 2,3,3 at seed 1729 is the suite's
+# fourth check there; ord_str loses the empty multiset on it.
+SAMPLED_SHATTERING_PIN = (
+    3,
+    {
+        "grid": "2,3,3",
+        "points": [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "ordstr": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        "sm": [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    },
+)
+
+
+def test_sampled_shattering_fault_pin(monkeypatch):
+    _drop(monkeypatch, shattering, "ord_str", lambda g, A: len(A) == 4, (0, 0, 0))
+    items = verify._shattering(make_grid((2, 3, 3)), Limits())
+    first = next((i, item) for i, item in enumerate(items) if item is not None)
+    assert first == SAMPLED_SHATTERING_PIN
