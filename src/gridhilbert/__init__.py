@@ -24,6 +24,7 @@ from .errors import (
     EmptyArities,
     EmptyMultiset,
     GridError,
+    GridTooLarge,
     LengthMismatch,
     ParseError,
     PointNotInGrid,

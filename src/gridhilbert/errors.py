@@ -46,6 +46,10 @@ class EmptyMultiset(GridError):
     """The all-zero multiset has no largest element."""
 
 
+class GridTooLarge(GridError):
+    """A grid has more points than an exhaustive sweep over it allows."""
+
+
 class ParseError(GridError):
     """A textual grid or weight-set spec is malformed."""
 

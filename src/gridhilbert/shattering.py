@@ -18,8 +18,11 @@ the masks G of the tail groups (points sharing a[t+1:]) and the cut
 masks {a : a[t] < v} for v = 1 .. k_t - 1.  A group of S is S & G, its
 size a popcount, and its cuts are tried by ascending v, skipping a cut
 whose lower part repeats the previous one and stopping once the lower
-part is the whole group.  The memo lives for one call, and ord_str_mask
-takes the point set as its mask directly.
+part is the whole group.  The memo of ord_str and order_shatters lives
+for one call.  The shattering sweep answers every point set of a grid
+of at most 16 points in mask order: both parts of a cut are nonempty
+proper submasks of the set, so one table filled in increasing mask
+order holds both recursive answers before they are read.
 
 Standard monomials are computed by a separate route with no shattering
 in it: scan the monomials X^alpha for alpha in the grid in ascending lex
@@ -30,22 +33,23 @@ powers, and both scans keep the same exponents: x^(alpha) is x^alpha
 plus multiples of x^beta with beta <= alpha componentwise and beta !=
 alpha, each lex-smaller than alpha, so the first m exponents in lex
 order span the same column space in either basis.  The footprint sweep
-gives the same sets for every point set of a grid in mask order by plain
-linear algebra: each point adds its row of all grid falling factorials
-to one Span, prefixes are shared (linalg.subset_sweep), and the row
-pivots, the lex-first column basis, are the standard monomials.  The two
-routes coincide on every set of grid points, and that equality is part
-of the verification surface of this package rather than an assumption of
-the code.
+gives the same sets, as masks, for every point set of a grid in mask
+order by plain linear algebra: each point adds its row of all grid
+falling factorials to one Span, prefixes are shared
+(linalg.subset_sweep), and the row pivots, the lex-first column basis,
+are the standard monomials.  The two routes coincide on every set of
+grid points, and that equality is part of the verification surface of
+this package rather than an assumption of the code.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import EmptyMultiset
+from .errors import EmptyMultiset, GridTooLarge
 from .grid import Point, UniformGrid
 from .linalg import _GRID_CACHE_SIZE, Span, falling_factorial_rows, subset_sweep
 
@@ -126,20 +130,58 @@ def order_shatters(grid: UniformGrid, A: Iterable[Point], b: Iterable[int]) -> b
 
 
 def ord_str(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:
-    """All multisets the point set order-shatters."""
-    bit = _shatter_tables(grid)[0]
-    return ord_str_mask(grid, sum({1 << bit[grid.check_point(p)] for p in A}))
+    """All multisets the point set order-shatters.
 
-
-def ord_str_mask(grid: UniformGrid, S: int) -> frozenset[Point]:
-    """All multisets order-shattered by the point set whose mask is S.
-
-    Bit i of S is the i-th grid point in lex order; every multiset of the
-    grid is tested on its own, with one memo for the call.
+    Every multiset of the grid is tested on its own, with one memo for
+    the call.
     """
     bit, steps = _shatter_tables(grid)
+    S = sum({1 << bit[grid.check_point(p)] for p in A})
     memo: dict[tuple[int, int], bool] = {}
     return frozenset(b for b, j in bit.items() if _shatters(steps, S, j, memo))
+
+
+def shattering_sweep(grid: UniformGrid) -> Iterator[int]:
+    """ord_str(grid, A) as a mask, for every point set A in mask order.
+
+    Bit i of a mask, both of A's and of the answer, is the i-th grid point
+    in lex order.  The answers fill one table sh[S] in increasing mask
+    order.  Each cut of _shatters splits a group of S into a nonempty
+    upper and lower part, both proper submasks of S, so both recursive
+    calls become bit tests on entries already filled.  Grids of more than
+    16 points are refused: the table has 2^|grid| entries of 16 bits.
+    """
+    n = grid.size
+    if n > 16:
+        raise GridTooLarge(f"the shattering sweep takes at most 16 points, not {n}")
+    steps = _shatter_tables(grid)[1]
+    sh = array("H", bytes(2 << n))
+    for S in range(1 << n):
+        size = S.bit_count()
+        row = int(S != 0)
+        for j in range(1, n):
+            need, groups, cuts, j_deleted, j_removed = steps[j]
+            if size < need:
+                continue
+            for G in groups:
+                group = S & G
+                if group.bit_count() < need:
+                    continue
+                prev = 0
+                for cut in cuts:
+                    lower = group & cut
+                    if lower == prev:
+                        continue
+                    if lower == group:
+                        break
+                    prev = lower
+                    if sh[group ^ lower] >> j_deleted & 1 and sh[lower] >> j_removed & 1:
+                        row |= 1 << j
+                        break
+                if row >> j & 1:
+                    break
+        sh[S] = row
+        yield row
 
 
 def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:
@@ -159,10 +201,10 @@ def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point
     return frozenset(exponents[j] for j in kept)
 
 
-def footprint_sweep(grid: UniformGrid) -> Iterator[frozenset[Point]]:
-    """standard_monomials(grid, A) for every point set A, A given by
-    the bits of mask in range(1 << grid.size) (bit i is the i-th point in
-    lex order), in mask order.
+def footprint_sweep(grid: UniformGrid) -> Iterator[int]:
+    """standard_monomials(grid, A) as a mask, for every point set A in mask
+    order.  Bit i of a mask, both of A's and of the answer, is the i-th
+    grid point in lex order.
 
     Each point of A adds its full falling-factorial row to one Span (the
     prefix of each set is shared, linalg.subset_sweep).  The pivot
@@ -173,4 +215,4 @@ def footprint_sweep(grid: UniformGrid) -> Iterator[frozenset[Point]]:
     span = Span(len(exponents))
     blocks = [[row] for row in falling_factorial_rows(grid, grid.arities, exponents)]
     for _ in subset_sweep(span, blocks):
-        yield frozenset(exponents[c] for c in span.pivots)
+        yield sum(1 << c for c in span.pivots)

@@ -17,13 +17,14 @@ it.  Comparisons are exact integer and set equality.
 
 Suites that visit every subset in mask order read the brute-force side
 from a sweep that shares each subset's prefix on one linalg.Span:
-grid-hilbert from hilbert.rank_oracle_sweep, shattering (on grids of at
-most 16 points) from shattering.footprint_sweep with each mask passed
-straight to the recursion, and zstar-lbar and closure-laws from one
-table of z*-closures per grid and degree, filled by closure.zstar_sweep
-and indexed by mask.  The sweeps give the one-shot routes' answers in
-the same order, so the checks, their counts and the first
-counterexample are those of the one-shot routes.
+grid-hilbert from hilbert.rank_oracle_sweep, and zstar-lbar and
+closure-laws from one table of z*-closures per grid and degree, filled
+by closure.zstar_sweep and indexed by mask.  On grids of at most 16
+points, shattering zips two sweeps, shattering.shattering_sweep and
+shattering.footprint_sweep, and compares their answers as integer masks.
+The sweeps give the one-shot routes' answers in the same order, so the
+checks, their counts and the first counterexample are those of the
+one-shot routes.
 """
 
 from __future__ import annotations
@@ -323,13 +324,13 @@ def _closure_laws(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
 
 
 def _sampled_instance(grid: UniformGrid, pts: list, picks: list[int]) -> tuple:
-    """A sampled point set, by the one-shot routes: (mask, ord_str, footprint)."""
+    """A sampled point set and its answers by the one-shot routes, all as
+    masks: (set, (ord_str, footprint))."""
     A = [pts[i] for i in picks]
-    return (
-        _mask(picks),
-        shattering.ord_str(grid, A),
-        shattering.standard_monomials(grid, A),
-    )
+    shattered = shattering.ord_str(grid, A)
+    sm = shattering.standard_monomials(grid, A)
+    bit = {p: i for i, p in enumerate(pts)}
+    return _mask(picks), (_mask(bit[b] for b in shattered), _mask(bit[b] for b in sm))
 
 
 def _shattering(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
@@ -338,11 +339,10 @@ def _shattering(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
     at most 27, none on larger grids."""
     pts = list(grid.points())
     n = len(pts)
-    # Point sets as masks: bit i is the i-th point in lex order.
+    # Point sets and answers as masks: bit i is the i-th point in lex order.
     if n <= 16:
-        instances = (
-            (mask, shattering.ord_str_mask(grid, mask), sm)
-            for mask, sm in enumerate(shattering.footprint_sweep(grid))
+        instances = enumerate(
+            zip(shattering.shattering_sweep(grid), shattering.footprint_sweep(grid))
         )
     elif n <= 27:
         rng = random.Random(f"{limits.seed}:shattering:{grid.spec()}")
@@ -352,12 +352,17 @@ def _shattering(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
         )
     else:
         return
-    for mask, shattered, sm in instances:
-        yield None if shattered == sm and len(shattered) == mask.bit_count() else dict(
+
+    def points(mask: int) -> list[list[int]]:
+        return [list(p) for i, p in enumerate(pts) if mask >> i & 1]
+
+    for mask, (shattered, sm) in instances:
+        holds = shattered == sm and shattered.bit_count() == mask.bit_count()
+        yield None if holds else dict(
             grid=grid.spec(),
-            points=_points_json(p for i, p in enumerate(pts) if mask >> i & 1),
-            ordstr=_points_json(shattered),
-            sm=_points_json(sm),
+            points=points(mask),
+            ordstr=points(shattered),
+            sm=points(sm),
         )
 
 

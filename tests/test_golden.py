@@ -293,15 +293,21 @@ def _drop(mp, owner, name, hit, removed):
     mp.setattr(owner, name, patched)
 
 
+def _edit_sweep(mp, owner, name, at, mask, edit):
+    """Patch owner.name, a sweep, to yield edit(answer) at one mask of the
+    call whose grid spec and further arguments are at."""
+    original = getattr(owner, name)
+
+    def patched(grid, *args):
+        for m, answer in enumerate(original(grid, *args)):
+            yield edit(answer) if ((grid.spec(), *args), m) == (at, mask) else answer
+
+    mp.setattr(owner, name, patched)
+
+
 def _edit_closures(mp, spec, d, mask, edit):
     """Patch closure.zstar_sweep to yield edit(closure) at one grid, degree and mask."""
-    original = closure.zstar_sweep
-
-    def patched(grid, degree):
-        for m, cl in enumerate(original(grid, degree)):
-            yield edit(cl) if (grid.spec(), degree, m) == (spec, d, mask) else cl
-
-    mp.setattr(closure, "zstar_sweep", patched)
+    _edit_sweep(mp, closure, "zstar_sweep", (spec, d), mask, edit)
 
 
 def _at(spec, *want):
@@ -447,7 +453,10 @@ FAULTS = {
     "closure-two-sided-interval": ("closure-laws", _two_sided_block),
     "shattering": (
         "shattering",
-        lambda mp: _drop(mp, shattering, "ord_str_mask", _at("2,3", 45), (0, 0)),
+        # Bit 0 of an answer is the empty multiset, (0, 0).
+        lambda mp: _edit_sweep(
+            mp, shattering, "shattering_sweep", ("2,3",), 45, lambda sh: sh & ~1
+        ),
     ),
     "layers-restriction": (
         "layers",

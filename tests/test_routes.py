@@ -4,9 +4,10 @@ Each route runs under sys.setprofile, with every package cache cleared
 first so cached helpers run their bodies too, and the test asserts
 which functions of the package it never enters: the rank, closure and
 footprint routes never reach the closed forms, the step operator or the
-shattering recursion, and the closed forms and the shattering recursion
-never reach the linear-algebra kernel.  Each check also names one
-function the route must enter, so a profile that saw nothing fails.
+shattering recursion and its sweep, and the closed forms, the shattering
+recursion and its sweep never reach the linear-algebra kernel.  Each
+check also names one function the route must enter, so a profile that
+saw nothing fails.
 """
 
 import sys
@@ -27,7 +28,7 @@ from gridhilbert import (
 )
 from gridhilbert.closure import zstar_sweep
 from gridhilbert.hilbert import rank_oracle_sweep
-from gridhilbert.shattering import footprint_sweep
+from gridhilbert.shattering import footprint_sweep, shattering_sweep
 
 _CLOSED_FORM_AND_RECURSION = {
     "be_enumeration",
@@ -35,6 +36,7 @@ _CLOSED_FORM_AND_RECURSION = {
     "l_step",
     "l_bar",
     "_shatters",
+    "shattering_sweep",
 }
 _LINALG = "gridhilbert.linalg"
 
@@ -87,7 +89,10 @@ def test_rank_closure_and_footprint_routes_avoid_closed_forms_and_recursion():
 
 def test_closed_forms_and_recursion_avoid_linalg():
     grid, weight_cases, points = _cases()
-    runs = [(ord_str, grid, points, "_shatters")]
+    runs = [
+        (ord_str, grid, points, "_shatters"),
+        (shattering_sweep, grid, "shattering_sweep"),
+    ]
     for d, E in weight_cases:
         runs += [
             (hilbert_closed, grid, d, E, "be_enumeration"),

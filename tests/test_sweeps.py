@@ -1,27 +1,32 @@
-"""Each prefix-shared sweep equals its one-shot route on every mask.
+"""Each sweep equals its one-shot route on every mask.
 
 rank_oracle_sweep and zstar_sweep answer every weight set of one grid
-and degree, footprint_sweep every point set of one grid; mask bit j is
-weight j, or the j-th grid point in lex order.  A mismatch is reported
-with its grid, degree and set.
+and degree, footprint_sweep and shattering_sweep every point set of one
+grid; mask bit j is weight j, or the j-th grid point in lex order, and
+the point-set sweeps answer with masks of grid points too.  A mismatch
+is reported with its grid, degree and set.
 """
 
 import itertools
 import math
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridhilbert import (
+    GridError,
     hilbert_rank_oracle,
     make_grid,
+    ord_str,
     standard_monomials,
     verification_family,
     zstar_closure,
 )
 from gridhilbert.closure import zstar_sweep
 from gridhilbert.hilbert import rank_oracle_sweep
-from gridhilbert.shattering import footprint_sweep
+from gridhilbert.shattering import footprint_sweep, shattering_sweep
 
 
 def _assert_sweeps_match_one_shot_routes(grid):
@@ -35,11 +40,17 @@ def _assert_sweeps_match_one_shot_routes(grid):
             assert rank == hilbert_rank_oracle(grid, d, E), (grid.spec(), d, E)
             assert closed == zstar_closure(grid, d, E), (grid.spec(), d, E)
     pts = list(grid.points())
+
+    def points(mask):
+        return [p for i, p in enumerate(pts) if mask >> i & 1]
+
     footprints = list(footprint_sweep(grid))
-    assert len(footprints) == 1 << len(pts)
-    for mask, footprint in enumerate(footprints):
-        A = [p for i, p in enumerate(pts) if mask >> i & 1]
-        assert footprint == standard_monomials(grid, A), (grid.spec(), A)
+    shattered = list(shattering_sweep(grid))
+    assert len(footprints) == len(shattered) == 1 << len(pts)
+    for mask, (footprint, sh) in enumerate(zip(footprints, shattered)):
+        A = points(mask)
+        assert set(points(footprint)) == standard_monomials(grid, A), (grid.spec(), A)
+        assert set(points(sh)) == ord_str(grid, A), (grid.spec(), A)
 
 
 def test_sweeps_match_one_shot_routes_on_small_family_grids():
@@ -62,3 +73,19 @@ _SMALL_OUTSIDE_FAMILY = [
 @given(st.sampled_from(_SMALL_OUTSIDE_FAMILY))
 def test_sweeps_match_one_shot_routes_off_the_family(arities):
     _assert_sweeps_match_one_shot_routes(make_grid(arities))
+
+
+def test_shattering_sweep_refuses_more_than_16_points_before_allocating():
+    for arities in [(17,), (3, 6), (2, 2, 2, 2, 2)]:
+        with pytest.raises(GridError, match="at most 16 points"):
+            next(shattering_sweep(make_grid(arities)))
+    # A table for 24 points would take 32 MB.
+    grid = make_grid((2,) * 24)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError):
+            next(shattering_sweep(grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -136,8 +136,36 @@ MUTANTS = (
     Mutant(
         "footprint-drops-first-pivot",
         "src/gridhilbert/shattering.py",
-        "yield frozenset(exponents[c] for c in span.pivots)",
-        "yield frozenset(exponents[c] for c in span.pivots[1:])",
+        "yield sum(1 << c for c in span.pivots)",
+        "yield sum(1 << c for c in span.pivots[1:])",
+        ("tests/test_sweeps.py",),
+    ),
+    Mutant(
+        "shattering-sweep-reads-group",
+        "src/gridhilbert/shattering.py",
+        "if sh[group ^ lower] >> j_deleted & 1 and sh[lower] >> j_removed & 1:",
+        "if sh[group] >> j_deleted & 1 and sh[lower] >> j_removed & 1:",
+        ("tests/test_sweeps.py",),
+    ),
+    # Swapping the two target indices (or the two table reads) gives an
+    # equivalent mutant.  Reflecting every coordinate, a -> k - 1 - a,
+    # exchanges the upper and lower part of every cut, so the swapped
+    # recursion answers on A what the true one answers on the reflected
+    # set; an affine change of each coordinate keeps every lex leading
+    # monomial, so both sets have one footprint and one answer.  Reading
+    # both parts at one index is not equivalent.
+    Mutant(
+        "shattering-sweep-one-target-index",
+        "src/gridhilbert/shattering.py",
+        "if sh[group ^ lower] >> j_deleted & 1 and sh[lower] >> j_removed & 1:",
+        "if sh[group ^ lower] >> j_removed & 1 and sh[lower] >> j_removed & 1:",
+        ("tests/test_sweeps.py",),
+    ),
+    Mutant(
+        "shattering-sweep-empty-set-shatters",
+        "src/gridhilbert/shattering.py",
+        "        row = int(S != 0)\n",
+        "        row = 1\n",
         ("tests/test_sweeps.py",),
     ),
     Mutant(
