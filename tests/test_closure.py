@@ -93,9 +93,9 @@ def test_t_set_values():
     assert t_set(6, 2) == {0, 1, 5, 6}
     assert t_set(6, 0) == frozenset()
     assert t_set(4, 3) == {0, 1, 2, 3, 4}
-    with pytest.raises(WeightOutOfRange):
+    with pytest.raises(WeightOutOfRange, match=r"^block size 7 outside \[0, 6\]$"):
         t_set(6, 7)
-    with pytest.raises(WeightOutOfRange):
+    with pytest.raises(WeightOutOfRange, match=r"^block size -1 outside \[0, 6\]$"):
         t_set(6, -1)
 
 

@@ -149,8 +149,12 @@ def test_bad_arguments():
         hilbert_closed(grid, 1, (7,))
     with pytest.raises(DegreeOutOfRange):
         cube(0)
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(DegreeOutOfRange, match=r"^degree 4 outside \[0, 3\]$"):
         hilbert_cube_closed(3, 4, (1,))
+    with pytest.raises(
+        DegreeOutOfRange, match="^cube dimension 0 must be a positive integer$"
+    ):
+        hilbert_cube_closed(0, 1, ())
 
 
 def test_profile_frozen_example():

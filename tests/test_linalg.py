@@ -9,6 +9,7 @@ from gridhilbert import (
     DuplicateEntries,
     ExactMatrix,
     LengthMismatch,
+    WeightOutOfRange,
     eval_matrix,
     factorial_diag,
     falling_factorial_value,
@@ -379,6 +380,14 @@ def test_up_matrix_frozen_example():
     assert m.row_labels == ((0, 1), (1, 0))
     assert m.col_labels == ((0, 2), (1, 1), (2, 0))
     assert m.entries == ((1, 1, 0), (0, 1, 1))
+
+
+def test_up_matrix_rejects_weights_outside_the_grid():
+    grid = make_grid((3, 3))
+    with pytest.raises(WeightOutOfRange, match=r"^weight 5 outside \[0, 4\]$"):
+        up_matrix(grid, grid.max_weight)
+    with pytest.raises(WeightOutOfRange, match=r"^weight -1 outside \[0, 4\]$"):
+        up_matrix(grid, -1)
 
 
 def test_up_matrix_entries_are_cover_indicators():

@@ -67,6 +67,9 @@ def test_shatters_rejects_foreign_multisets():
     grid = make_grid((2, 2))
     with pytest.raises(PointNotInGrid):
         order_shatters(grid, ((0, 0),), (0, 2))
+    # A foreign point of A is reported before a foreign multiset.
+    with pytest.raises(PointNotInGrid, match=r"^\(0, 2\) is not a point"):
+        order_shatters(grid, ((0, 0), (0, 2)), (3, 0))
 
 
 def test_ord_str_frozen_examples():
