@@ -63,13 +63,7 @@ from .linalg import (
     rank,
     up_matrix,
 )
-from .shattering import (
-    downset_size,
-    ord_str,
-    order_shatters,
-    standard_monomials,
-    tau,
-)
+from .shattering import ord_str, order_shatters, standard_monomials
 from .verify import (
     SUITES,
     Limits,

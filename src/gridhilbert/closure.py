@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import WeightOutOfRange
-from .grid import Point, UniformGrid, check_degree, check_weight_set
+from .grid import Point, UniformGrid, _in_range, check_degree, check_weight_set
 from .linalg import layer_span, subset_sweep
 
 
@@ -60,8 +60,7 @@ def l_bar(N: int, d: int, E: Iterable[int]) -> frozenset[int]:
 
 def t_set(N: int, i: int) -> frozenset[int]:
     """The two end blocks [0, i-1] and [N-i+1, N] as one weight set."""
-    if not isinstance(i, int) or not 0 <= i <= N:
-        raise WeightOutOfRange(f"block size {i!r} outside [0, {N}]")
+    _in_range(i, N, "block size", WeightOutOfRange)
     return frozenset(range(i)) | frozenset(range(N - i + 1, N + 1))
 
 

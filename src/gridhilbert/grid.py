@@ -13,6 +13,7 @@ package's one set of range checks for degrees and weights.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -80,10 +81,7 @@ class UniformGrid:
 
     @cached_property
     def size(self) -> int:
-        n = 1
-        for k in self.arities:
-            n *= k
-        return n
+        return math.prod(self.arities)
 
     def points(self) -> Iterator[Point]:
         """All grid points in ascending lex order, coordinate 1 most significant."""

@@ -94,9 +94,7 @@ def rank_oracle_sweep(grid: UniformGrid, d: int) -> Iterator[int]:
 
 def hilbert_cube_closed(n: int, d: int, E: Iterable[int]) -> int:
     """Closed form specialized to the Boolean cube: layer sizes are binomials."""
-    if not isinstance(n, int) or n < 1:
-        raise DegreeOutOfRange(f"cube dimension {n!r} must be a positive integer")
-    check_degree(d, n)
+    cube(n)
     be = be_enumeration(n, d, E)
     total = sum(comb(n, w) for w in be.kept)
     total += sum(min(comb(n, t), comb(n, w)) for t, w in zip(be.t_desc, be.w_asc))

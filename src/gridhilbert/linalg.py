@@ -18,9 +18,8 @@ layout: layer_span returns a Span of chosen layers' columns for the rank
 oracle, its sweep and the closure routes, and eval_block cuts row-weight
 runs from it for rank_block and eval_matrix.  ExactMatrix holds dense
 integer matrices with grid-point labels for the matrix dumps, the
-up-rank and factorization suites and the demos; its rank adds the
-columns left to right to a Span, so the pivot set is the greedy column
-basis.
+up-rank and factorization suites and the demos; rank reports only its
+rank, from its columns added left to right to a Span.
 """
 from __future__ import annotations
 
@@ -112,7 +111,6 @@ class ExactMatrix:
 @dataclass(frozen=True)
 class RankResult:
     rank: int
-    pivot_cols: tuple[int, ...]
 
 
 class Span:
@@ -160,10 +158,12 @@ class Span:
         return v
 
     def add(self, v: Sequence[int]) -> int | None:
-        """Store v; its pivot position, or None when v is already in the span."""
+        """Store v; its pivot position, or None when v is already in the span.
+
+        A full span reduces every vector to zero, so on a full span add
+        returns None.
+        """
         self._check_length(v)
-        if len(self._rows) == self.length:
-            return None
         v = self._reduce(v)
         for c, a in enumerate(v):
             if a:
@@ -220,9 +220,8 @@ def subset_sweep(
 
 
 def rank(matrix: ExactMatrix) -> RankResult:
-    """Exact rank with the leftmost greedy independent column set."""
-    kept = Span(matrix.n_rows).extend(zip(*matrix.entries))
-    return RankResult(len(kept), tuple(kept))
+    """Exact rank of the matrix, its columns added left to right to a Span."""
+    return RankResult(len(Span(matrix.n_rows).extend(zip(*matrix.entries))))
 
 
 def falling_factorial_rows(
@@ -310,8 +309,6 @@ def eval_matrix(
 
 def up_matrix(grid: UniformGrid, d: int) -> ExactMatrix:
     """0/1 matrix from layer d to layer d+1: entry 1 iff row <= col componentwise."""
-    grid.check_weight(d)
-    grid.check_weight(d + 1)
     rows = grid.layer(d)
     cols = grid.layer(d + 1)
     entries = tuple(

@@ -18,8 +18,9 @@ the masks G of the tail groups (points sharing a[t+1:]) and the cut
 masks {a : a[t] < v} for v = 1 .. k_t - 1.  A group of S is S & G, its
 size a popcount, and its cuts are tried by ascending v, skipping a cut
 whose lower part repeats the previous one and stopping once the lower
-part is the whole group.  The memo of ord_str and order_shatters lives
-for one call.  The shattering sweep answers every point set of a grid
+part is the whole group.  ord_str is the one-shot route, with a memo
+that lives for one call, and order_shatters asks whether b is in its
+answer.  The shattering sweep answers every point set of a grid
 of at most 16 points in mask order: both parts of a cut are nonempty
 proper submasks of the set, so one table filled in increasing mask
 order holds both recursive answers before they are read.
@@ -65,10 +66,7 @@ def tau(b: Iterable[int]) -> int:
 
 def downset_size(b: Iterable[int]) -> int:
     """Number of componentwise-smaller-or-equal exponents: prod (b_i + 1)."""
-    out = 1
-    for v in b:
-        out *= v + 1
-    return out
+    return math.prod(v + 1 for v in b)
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -122,13 +120,6 @@ def _shatters(steps: tuple, S: int, j: int, memo: dict[tuple[int, int], bool]) -
     return False
 
 
-def order_shatters(grid: UniformGrid, A: Iterable[Point], b: Iterable[int]) -> bool:
-    """Whether the point set A order-shatters the multiset b."""
-    bit, steps = _shatter_tables(grid)
-    S = sum({1 << bit[grid.check_point(p)] for p in A})
-    return _shatters(steps, S, bit[grid.check_point(b)], {})
-
-
 def ord_str(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:
     """All multisets the point set order-shatters.
 
@@ -139,6 +130,16 @@ def ord_str(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:
     S = sum({1 << bit[grid.check_point(p)] for p in A})
     memo: dict[tuple[int, int], bool] = {}
     return frozenset(b for b, j in bit.items() if _shatters(steps, S, j, memo))
+
+
+def order_shatters(grid: UniformGrid, A: Iterable[Point], b: Iterable[int]) -> bool:
+    """Whether the point set A order-shatters the multiset b: b in ord_str(grid, A).
+
+    A's points are checked before b, so a foreign point of A is the one
+    reported.
+    """
+    shattered = ord_str(grid, A)
+    return grid.check_point(b) in shattered
 
 
 def shattering_sweep(grid: UniformGrid) -> Iterator[int]:

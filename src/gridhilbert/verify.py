@@ -323,13 +323,15 @@ def _closure_laws(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
             )
 
 
-def _sampled_instance(grid: UniformGrid, pts: list, picks: list[int]) -> tuple:
+def _sampled_instance(
+    grid: UniformGrid, pts: list, bit: dict, picks: list[int]
+) -> tuple:
     """A sampled point set and its answers by the one-shot routes, all as
-    masks: (set, (ord_str, footprint))."""
+    masks: (set, (ord_str, footprint)).  bit maps each point to its index
+    in pts."""
     A = [pts[i] for i in picks]
     shattered = shattering.ord_str(grid, A)
     sm = shattering.standard_monomials(grid, A)
-    bit = {p: i for i, p in enumerate(pts)}
     return _mask(picks), (_mask(bit[b] for b in shattered), _mask(bit[b] for b in sm))
 
 
@@ -346,8 +348,9 @@ def _shattering(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
         )
     elif n <= 27:
         rng = random.Random(f"{limits.seed}:shattering:{grid.spec()}")
+        bit = {p: i for i, p in enumerate(pts)}
         instances = (
-            _sampled_instance(grid, pts, rng.sample(range(n), rng.randint(0, n)))
+            _sampled_instance(grid, pts, bit, rng.sample(range(n), rng.randint(0, n)))
             for _ in range(_SHATTER_SAMPLES)
         )
     else:

@@ -11,14 +11,13 @@ from test_linalg import _greedy_columns
 from gridhilbert import (
     EmptyMultiset,
     PointNotInGrid,
-    downset_size,
     make_grid,
     ord_str,
     order_shatters,
     standard_monomials,
-    tau,
     verification_family,
 )
+from gridhilbert.shattering import downset_size, tau
 
 
 def is_downward_closed(points):

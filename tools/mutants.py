@@ -126,11 +126,11 @@ MUTANTS = (
         "length-check-after-full-return",
         "src/gridhilbert/linalg.py",
         "        self._check_length(v)\n"
+        "        return len(self._rows) == self.length or not any(self._reduce(v))\n",
         "        if len(self._rows) == self.length:\n"
-        "            return None\n",
-        "        if len(self._rows) == self.length:\n"
-        "            return None\n"
-        "        self._check_length(v)\n",
+        "            return True\n"
+        "        self._check_length(v)\n"
+        "        return not any(self._reduce(v))\n",
         ("tests/test_linalg.py",),
     ),
     Mutant(
@@ -219,11 +219,15 @@ MUTANTS = (
         "\"agree=yes\",",
         ("tests/test_cli.py",),
     ),
+    # rank reports only the rank, so feeding the rows to a span of their
+    # own length (n_cols) is an equivalent mutant: row rank equals column
+    # rank.  Feeding them to the span of column length fails on every
+    # non-square matrix.
     Mutant(
         "rank-feeds-rows",
         "src/gridhilbert/linalg.py",
-        "kept = Span(matrix.n_rows).extend(zip(*matrix.entries))",
-        "kept = Span(matrix.n_cols).extend(matrix.entries)",
+        "return RankResult(len(Span(matrix.n_rows).extend(zip(*matrix.entries))))",
+        "return RankResult(len(Span(matrix.n_rows).extend(matrix.entries)))",
         ("tests/test_linalg.py",),
     ),
     Mutant(
