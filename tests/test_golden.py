@@ -10,7 +10,9 @@ one module attribute the suite looks up, so that a chosen instance
 fails, and pins the whole SuiteResult the suite then returns: its
 number of checks up to and including the failure, and the
 counterexample dict key for key.  Between them the pins cover every
-counterexample shape the suites can emit.  The sampled branch of the
+counterexample shape the suites can emit, and both halves of each
+two-part law: shattering's equal answers and answer size, and
+interval-rank's compatibility and rank.  The sampled branch of the
 shattering suite (grids of 17 to 27 points) is pinned on its own: its
 check generator runs on one 18-point grid at the default seed, with one
 early draw broken, so the pin holds the draws up to the failure and the
@@ -376,6 +378,12 @@ def _digression_flat(mp):
     )
 
 
+def _both_sweeps_lose_the_empty_multiset(mp):
+    # The two answers still agree, but with one point fewer than the set.
+    for name in ("shattering_sweep", "footprint_sweep"):
+        _edit_sweep(mp, shattering, name, ("2,3",), 45, lambda answer: answer & ~1)
+
+
 def _layer_weights(*weights):
     return lambda grid, A: grid.spec() == "2,4" and {sum(p) for p in A} == set(weights)
 
@@ -415,6 +423,10 @@ FAULTS = {
         lambda mp: _bump(mp, hilbert, "rank_block", _at("2,4", (2,), (3, 4))),
     ),
     "interval-rank": ("interval-rank", _interval_incompatible),
+    "interval-rank-min-sum": (
+        "interval-rank",
+        lambda mp: _bump(mp, hilbert, "rank_block", _at("2", (0,), (1,))),
+    ),
     "zstar-lbar": (
         "zstar-lbar",
         lambda mp: _drop(
@@ -458,6 +470,7 @@ FAULTS = {
             mp, shattering, "shattering_sweep", ("2,3",), 45, lambda sh: sh & ~1
         ),
     ),
+    "shattering-size": ("shattering", _both_sweeps_lose_the_empty_multiset),
     "layers-restriction": (
         "layers",
         lambda mp: _drop(mp, shattering, "ord_str", _layer_weights(2), (0, 1)),
@@ -582,6 +595,19 @@ PINS = {
             "expected": "5",
         },
     ),
+    "interval-rank-min-sum": SuiteResult(
+        "interval-rank",
+        False,
+        3,
+        {
+            "grid": "2",
+            "interval": [0, 0],
+            "assignment": [[0, 1]],
+            "compatible": True,
+            "rank": "2",
+            "expected": "1",
+        },
+    ),
     "zstar-lbar": SuiteResult(
         "zstar-lbar",
         False,
@@ -690,6 +716,17 @@ PINS = {
             "sm": [[0, 0], [0, 1], [1, 0], [1, 1]],
         },
     ),
+    "shattering-size": SuiteResult(
+        "shattering",
+        False,
+        90,
+        {
+            "grid": "2,3",
+            "points": [[0, 0], [0, 2], [1, 0], [1, 2]],
+            "ordstr": [[0, 1], [1, 0], [1, 1]],
+            "sm": [[0, 1], [1, 0], [1, 1]],
+        },
+    ),
     "layers-restriction": SuiteResult(
         "layers",
         False,
@@ -756,3 +793,24 @@ def test_sampled_shattering_fault_pin(monkeypatch):
     items = verify._shattering(make_grid((2, 3, 3)), Limits())
     first = next((i, item) for i, item in enumerate(items) if item is not None)
     assert first == SAMPLED_SHATTERING_PIN
+
+
+# The same draw with the empty multiset dropped from both routes: they
+# agree with each other, so only the size half of the law fails.
+SAMPLED_SHATTERING_SIZE_PIN = (
+    3,
+    {
+        "grid": "2,3,3",
+        "points": [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "ordstr": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        "sm": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    },
+)
+
+
+def test_sampled_shattering_size_fault_pin(monkeypatch):
+    for name in ("ord_str", "standard_monomials"):
+        _drop(monkeypatch, shattering, name, lambda g, A: len(A) == 4, (0, 0, 0))
+    items = verify._shattering(make_grid((2, 3, 3)), Limits())
+    first = next((i, item) for i, item in enumerate(items) if item is not None)
+    assert first == SAMPLED_SHATTERING_SIZE_PIN

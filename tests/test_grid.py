@@ -8,6 +8,7 @@ from gridhilbert import (
     EmptyArities,
     ParseError,
     PointNotInGrid,
+    UniformGrid,
     WeightOutOfRange,
     make_grid,
     parse_grid,
@@ -23,6 +24,20 @@ def test_construction_rejects_bad_arities():
         make_grid((3, 1))
     with pytest.raises(AritySmallerThanTwo):
         make_grid((0,))
+
+
+def test_construction_coerces_any_iterable_of_arities():
+    """A list or an iterator of arities builds the grid a tuple builds,
+    with the same checks; parse_grid passes a list."""
+    want = UniformGrid((3, 3))
+    for arities in ([3, 3], iter((3, 3))):
+        grid = UniformGrid(arities)
+        assert grid.arities == (3, 3)
+        assert grid == want and hash(grid) == hash(want)
+    with pytest.raises(AritySmallerThanTwo, match=r"^arity 1 is smaller than two$"):
+        UniformGrid([3, 1])
+    with pytest.raises(EmptyArities):
+        UniformGrid([])
 
 
 def test_basic_dimensions():
