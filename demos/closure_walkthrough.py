@@ -6,10 +6,10 @@ Run with:  python3 demos/closure_walkthrough.py
 """
 
 from gridhilbert import (
+    UniformGrid,
     closure_report,
     l_bar,
     l_step,
-    make_grid,
     t_set,
     z_closure_points,
     zstar_closure,
@@ -39,7 +39,7 @@ print(" fixpoint:", sorted(l_bar(N, d, E)))
 # Route two is algebraic, on the 3x3 grid whose top weight is that same N:
 # close the actual point set layer by layer, using rank arithmetic over the
 # exact integers.
-grid = make_grid((3, 3))
+grid = UniformGrid((3, 3))
 print()
 print("algebraic closure on grid", grid.spec())
 print(" zstar of", set(E), "at degree", d, "->", sorted(zstar_closure(grid, d, E)))
@@ -51,7 +51,7 @@ print(" report:", report)
 # The agreement is a property of the grid: it needs the layer sizes to rise
 # strictly to a flat middle pair and then fall strictly.  A single line of
 # 3 points fails that, and there the two routes genuinely differ.
-line = make_grid((3,))
+line = UniformGrid((3,))
 print()
 print("grid", line.spec(), "layer sizes", line.layer_sizes, "su2:", line.is_su2())
 report = closure_report(line, 1, (0, 2))
@@ -69,7 +69,7 @@ for i in (1, 2):
 
 # The point-level closure behind all of this: three corners of the 2x2
 # square force the fourth corner at degree 1.
-square = make_grid((2, 2))
+square = UniformGrid((2, 2))
 corners = ((0, 0), (0, 1), (1, 0))
 print()
 print("corners", corners, "close to", sorted(z_closure_points(square, 1, corners)))

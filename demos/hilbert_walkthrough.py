@@ -6,18 +6,18 @@ Run with:  python3 demos/hilbert_walkthrough.py
 """
 
 from gridhilbert import (
+    UniformGrid,
     be_enumeration,
     eval_matrix,
     hilbert_closed,
     hilbert_profile,
     hilbert_rank_oracle,
-    make_grid,
     profile_value,
 )
 
 # The running example is the 3x3 grid: points (a, b) with 0 <= a, b <= 2,
 # sliced into layers by the coordinate sum a + b.
-grid = make_grid((3, 3))
+grid = UniformGrid((3, 3))
 print("grid", grid.spec(), "has layer sizes", grid.layer_sizes)
 for j in range(grid.max_weight + 1):
     print(" layer", j, "=", grid.layer(j))
@@ -60,7 +60,7 @@ print(" profile value:", profile_value(grid, d, E), "  closed form:", hilbert_cl
 # correct whenever d is at most half the top weight, and whenever w >= d,
 # but it can undershoot past the middle: on the 2x2 grid at degree 2 the
 # layer {1} supports 2 independent functions, not min(1, 2) = 1.
-small = make_grid((2, 2))
+small = UniformGrid((2, 2))
 print()
 print("2x2 grid, degree 2, layer {1}:")
 print(" true value   :", hilbert_closed(small, 2, (1,)))

@@ -6,7 +6,7 @@ Run with:  python3 demos/shattering_walkthrough.py
 """
 
 from gridhilbert import (
-    make_grid,
+    UniformGrid,
     ord_str,
     order_shatters,
     standard_monomials,
@@ -15,7 +15,7 @@ from gridhilbert import (
 # Points of a grid can shatter multisets of coordinate positions, the way
 # set families shatter sets.  On binary coordinates the notion is the
 # classical one; the recursion cuts along the largest occupied position.
-square = make_grid((2, 2))
+square = UniformGrid((2, 2))
 pts = list(square.points())
 print("the full 2x2 square shatters (1,1):", order_shatters(square, pts, (1, 1)))
 
@@ -35,7 +35,7 @@ sm = standard_monomials(square, corners)
 print("surviving monomial exponents  :", sorted(sm))
 
 # On a bigger grid, take the middle layer of the 3x3 grid.
-grid = make_grid((3, 3))
+grid = UniformGrid((3, 3))
 layer = grid.layer(2)
 print()
 print("middle layer of 3x3:", layer)
@@ -51,7 +51,7 @@ for i in (0, 1, 2):
     print(" layers", i, "and", grid.max_weight - i, "->", low, "==", high, ":", low == high)
 
 # A quick sanity sweep: on every subset of a small grid both routes agree.
-grid = make_grid((3, 2))
+grid = UniformGrid((3, 2))
 pts = list(grid.points())
 mismatches = 0
 for mask in range(1 << len(pts)):

@@ -35,11 +35,9 @@ from .errors import (
 from .grid import (
     Point,
     UniformGrid,
-    make_grid,
     parse_grid,
     parse_points,
     parse_weight_set,
-    weight,
 )
 from .hilbert import (
     BEEnumeration,

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
 from . import closure as _closure
@@ -176,6 +177,7 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gridhilbert",

@@ -32,11 +32,6 @@ Point = tuple[int, ...]
 LayerSizes = tuple[int, ...]
 
 
-def weight(point: Iterable[int]) -> int:
-    """Sum of coordinates."""
-    return sum(point)
-
-
 def _in_range(value: int, top: int, what: str, error: type[GridError]) -> int:
     if not isinstance(value, int) or not 0 <= value <= top:
         raise error(f"{what} {value!r} outside [0, {top}]")
@@ -57,7 +52,8 @@ def check_weight_set(weights: Iterable[int], top: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """Product of the ranges [0, k_i - 1] for a tuple of arities k_i >= 2."""
+    """Product of the ranges [0, k_i - 1] for arities k_i >= 2, given as any
+    iterable and stored as a tuple."""
 
     arities: tuple[int, ...]
 
@@ -155,11 +151,6 @@ class UniformGrid:
         return ",".join(str(k) for k in self.arities)
 
 
-def make_grid(arities: Iterable[int]) -> UniformGrid:
-    """Build a grid from an iterable of arities, validating them."""
-    return UniformGrid(tuple(arities))
-
-
 def _decimal(token: str, error: str = "not a decimal integer") -> int:
     """The value of a token of decimal digits, else ParseError(error).
 
@@ -177,7 +168,7 @@ def _decimal(token: str, error: str = "not a decimal integer") -> int:
 def parse_grid(text: str) -> UniformGrid:
     """Parse a comma-separated arity list such as '3,3'."""
     error = f"bad grid spec {text!r}: expected comma-separated integers"
-    return make_grid([_decimal(t.strip(), error) for t in text.split(",")])
+    return UniformGrid([_decimal(t.strip(), error) for t in text.split(",")])
 
 
 def parse_points(text: str) -> tuple[Point, ...]:

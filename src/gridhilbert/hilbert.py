@@ -27,7 +27,7 @@ from .errors import (
     SetTooSmall,
     WeightOutOfRange,
 )
-from .grid import UniformGrid, check_degree, check_weight_set, make_grid
+from .grid import UniformGrid, check_degree, check_weight_set
 
 
 @dataclass(frozen=True)
@@ -178,4 +178,4 @@ def cube(n: int) -> UniformGrid:
     """The Boolean cube as a grid: n binary coordinates."""
     if not isinstance(n, int) or n < 1:
         raise DegreeOutOfRange(f"cube dimension {n!r} must be a positive integer")
-    return make_grid((2,) * n)
+    return UniformGrid((2,) * n)

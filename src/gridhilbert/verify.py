@@ -19,12 +19,12 @@ Suites that visit every subset in mask order read the brute-force side
 from a sweep that shares each subset's prefix on one linalg.Span:
 grid-hilbert from hilbert.rank_oracle_sweep, and zstar-lbar and
 closure-laws from one table of z*-closures per grid and degree, filled
-by closure.zstar_sweep and indexed by mask.  On grids of at most 16
-points, shattering zips two sweeps, shattering.shattering_sweep and
-shattering.footprint_sweep, and compares their answers as integer masks.
-The sweeps give the one-shot routes' answers in the same order, so the
-checks, their counts and the first counterexample are those of the
-one-shot routes.
+by closure.zstar_sweep and indexed by mask.  Shattering compares
+ord_str with standard_monomials: on grids of at most 16 points through
+their sweeps, shattering_sweep and footprint_sweep, which answer every
+point set in mask order as an integer mask; on grids of 17 to 27 points
+one call each per seeded point set, compared as the point sets they
+return.  Either way the counts and first counterexample are the routes'.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterator
 
 from . import closure, hilbert, linalg, shattering
 from .errors import UnknownSuite
-from .grid import UniformGrid, make_grid, weight
+from .grid import UniformGrid
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def verification_family(
     for n in range(1, max_cube + 1):
         specs.add((2,) * n)
     ordered = sorted(specs, key=lambda t: (math.prod(t), len(t), t))
-    return tuple(make_grid(t) for t in ordered)
+    return tuple(UniformGrid(t) for t in ordered)
 
 
 def _family(limits: Limits) -> tuple[UniformGrid, ...]:
@@ -323,50 +323,38 @@ def _closure_laws(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
             )
 
 
-def _sampled_instance(
-    grid: UniformGrid, pts: list, bit: dict, picks: list[int]
-) -> tuple:
-    """A sampled point set and its answers by the one-shot routes, all as
-    masks: (set, (ord_str, footprint)).  bit maps each point to its index
-    in pts."""
-    A = [pts[i] for i in picks]
-    shattered = shattering.ord_str(grid, A)
-    sm = shattering.standard_monomials(grid, A)
-    return _mask(picks), (_mask(bit[b] for b in shattered), _mask(bit[b] for b in sm))
-
-
 def _shattering(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
     """Order shattering against the footprint scan, point set by point set:
     every set on grids of at most 16 points, a seeded sample on grids of
     at most 27, none on larger grids."""
     pts = list(grid.points())
     n = len(pts)
-    # Point sets and answers as masks: bit i is the i-th point in lex order.
-    if n <= 16:
-        instances = enumerate(
-            zip(shattering.shattering_sweep(grid), shattering.footprint_sweep(grid))
+
+    # A sweep's answer is a mask: bit i is the i-th point in lex order.
+    def points(mask: int) -> list:
+        return [p for i, p in enumerate(pts) if mask >> i & 1]
+
+    def fail(A, shattered, sm) -> dict:
+        return dict(
+            grid=grid.spec(),
+            points=_points_json(A),
+            ordstr=_points_json(shattered),
+            sm=_points_json(sm),
         )
+
+    if n <= 16:
+        pairs = zip(shattering.shattering_sweep(grid), shattering.footprint_sweep(grid))
+        for mask, (shattered, sm) in enumerate(pairs):
+            holds = shattered == sm and shattered.bit_count() == mask.bit_count()
+            yield None if holds else fail(points(mask), points(shattered), points(sm))
     elif n <= 27:
         rng = random.Random(f"{limits.seed}:shattering:{grid.spec()}")
-        bit = {p: i for i, p in enumerate(pts)}
-        instances = (
-            _sampled_instance(grid, pts, bit, rng.sample(range(n), rng.randint(0, n)))
-            for _ in range(_SHATTER_SAMPLES)
-        )
-    else:
-        return
-
-    def points(mask: int) -> list[list[int]]:
-        return [list(p) for i, p in enumerate(pts) if mask >> i & 1]
-
-    for mask, (shattered, sm) in instances:
-        holds = shattered == sm and shattered.bit_count() == mask.bit_count()
-        yield None if holds else dict(
-            grid=grid.spec(),
-            points=points(mask),
-            ordstr=points(shattered),
-            sm=points(sm),
-        )
+        for _ in range(_SHATTER_SAMPLES):
+            A = rng.sample(pts, rng.randint(0, n))
+            shattered = shattering.ord_str(grid, A)
+            sm = shattering.standard_monomials(grid, A)
+            holds = shattered == sm and len(shattered) == len(A)
+            yield None if holds else fail(A, shattered, sm)
 
 
 def _layers(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
@@ -379,7 +367,7 @@ def _layers(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
     sm = [shattering.standard_monomials(grid, A) for A in layers]
     for j in range(len(layers)):
         for i in range(j + 1):
-            restricted = frozenset(b for b in shattered[j] if weight(b) <= i)
+            restricted = frozenset(b for b in shattered[j] if sum(b) <= i)
             yield None if shattered[i] == restricted else dict(
                 grid=grid.spec(), low=i, high=j, law="restriction",
                 low_layer=_points_json(shattered[i]),
@@ -416,7 +404,7 @@ SUITES = {
     "closure-laws": (_family, _closure_laws),
     "shattering": (_family, _shattering),
     "layers": (_family, _layers),
-    "digression": (lambda limits: (make_grid((3, 3)),), _digression),
+    "digression": (lambda limits: (UniformGrid((3, 3)),), _digression),
 }
 
 

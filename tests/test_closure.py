@@ -8,11 +8,11 @@ from gridhilbert import (
     ExactMatrix,
     PointNotInGrid,
     WeightOutOfRange,
+    UniformGrid,
     closure_report,
     falling_factorial_value,
     l_bar,
     l_step,
-    make_grid,
     rank,
     t_set,
     z_closure_points,
@@ -100,7 +100,7 @@ def test_t_set_values():
 
 
 def test_point_closure_degenerate_degrees():
-    grid = make_grid((2, 3))
+    grid = UniformGrid((2, 3))
     pts = ((0, 1), (1, 2))
     assert z_closure_points(grid, grid.max_weight, pts) == set(pts)
     assert z_closure_points(grid, 0, pts) == set(grid.points())
@@ -108,7 +108,7 @@ def test_point_closure_degenerate_degrees():
 
 
 def test_point_closure_hand_example():
-    grid = make_grid((2, 2))
+    grid = UniformGrid((2, 2))
     assert z_closure_points(grid, 1, ((0, 0),)) == {(0, 0)}
     # Three corners of the square force the fourth at degree 1.
     corners = ((0, 0), (0, 1), (1, 0))
@@ -117,7 +117,7 @@ def test_point_closure_hand_example():
 
 def test_point_closure_matches_rank_route_exhaustively():
     for arities in [(3,), (2, 2), (2, 3)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         pts = list(grid.points())
         for d in range(grid.max_weight + 1):
             for r in range(len(pts) + 1):
@@ -127,7 +127,7 @@ def test_point_closure_matches_rank_route_exhaustively():
 
 
 def test_point_closure_matches_rank_route_random():
-    grid = make_grid((2, 2, 2))
+    grid = UniformGrid((2, 2, 2))
     rng = random.Random(4061)
     pts = list(grid.points())
     for _ in range(40):
@@ -137,13 +137,13 @@ def test_point_closure_matches_rank_route_random():
 
 
 def test_point_closure_rejects_foreign_points():
-    grid = make_grid((2, 2))
+    grid = UniformGrid((2, 2))
     with pytest.raises(PointNotInGrid):
         z_closure_points(grid, 1, ((0, 2),))
 
 
 def test_weight_closure_frozen_examples():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     assert zstar_closure(grid, 1, (1, 3)) == {0, 1, 2, 3, 4}
     assert zstar_closure(grid, 4, (1, 3)) == {1, 3}
     assert zstar_closure(grid, 2, ()) == frozenset()
@@ -152,7 +152,7 @@ def test_weight_closure_frozen_examples():
 
 def test_weight_closure_is_layerwise_point_closure():
     for arities in [(3, 3), (2, 4)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         N = grid.max_weight
         for d in range(N + 1):
             for mask in range(1 << (N + 1)):
@@ -166,7 +166,7 @@ def test_weight_closure_is_layerwise_point_closure():
 
 
 def test_weight_closure_extensive_and_idempotent():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     N = grid.max_weight
     for d in range(N + 1):
         for mask in range(1 << (N + 1)):
@@ -177,7 +177,7 @@ def test_weight_closure_extensive_and_idempotent():
 
 
 def test_two_block_sets_are_closed_exactly_up_to_degree():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     N = grid.max_weight
     for i in range(1, N // 2 + 1):
         T = t_set(N, i)
@@ -188,7 +188,7 @@ def test_two_block_sets_are_closed_exactly_up_to_degree():
 
 def test_routes_disagree_off_the_flat_middle():
     """On a grid with a flat layer-size table the step operator undershoots."""
-    grid = make_grid((3,))
+    grid = UniformGrid((3,))
     assert not grid.is_su2()
     report = closure_report(grid, 1, (0, 2))
     assert report.lbar == (0, 2)
@@ -196,7 +196,7 @@ def test_routes_disagree_off_the_flat_middle():
 
 
 def test_report_fields():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     report = closure_report(grid, 1, (3, 1))
     assert report.input == (1, 3)
     assert report.lbar == (0, 1, 2, 3, 4)

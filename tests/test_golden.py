@@ -24,7 +24,7 @@ import hashlib
 
 import pytest
 
-from gridhilbert import closure, hilbert, linalg, make_grid, shattering, verify
+from gridhilbert import UniformGrid, closure, hilbert, linalg, shattering, verify
 from gridhilbert.cli import main
 from gridhilbert.verify import Limits, SuiteResult, verify_suite
 
@@ -790,7 +790,7 @@ SAMPLED_SHATTERING_PIN = (
 
 def test_sampled_shattering_fault_pin(monkeypatch):
     _drop(monkeypatch, shattering, "ord_str", lambda g, A: len(A) == 4, (0, 0, 0))
-    items = verify._shattering(make_grid((2, 3, 3)), Limits())
+    items = verify._shattering(UniformGrid((2, 3, 3)), Limits())
     first = next((i, item) for i, item in enumerate(items) if item is not None)
     assert first == SAMPLED_SHATTERING_PIN
 
@@ -811,6 +811,6 @@ SAMPLED_SHATTERING_SIZE_PIN = (
 def test_sampled_shattering_size_fault_pin(monkeypatch):
     for name in ("ord_str", "standard_monomials"):
         _drop(monkeypatch, shattering, name, lambda g, A: len(A) == 4, (0, 0, 0))
-    items = verify._shattering(make_grid((2, 3, 3)), Limits())
+    items = verify._shattering(UniformGrid((2, 3, 3)), Limits())
     first = next((i, item) for i, item in enumerate(items) if item is not None)
     assert first == SAMPLED_SHATTERING_SIZE_PIN

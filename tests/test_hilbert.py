@@ -18,6 +18,7 @@ from gridhilbert import (
     LengthMismatch,
     SetTooSmall,
     WeightOutOfRange,
+    UniformGrid,
     be_enumeration,
     cube,
     hilbert_closed,
@@ -27,7 +28,6 @@ from gridhilbert import (
     hilbert_rank_oracle,
     is_interval_compatible,
     l_bar,
-    make_grid,
     profile_value,
     rank_block,
     verification_family,
@@ -58,7 +58,7 @@ def test_be_enumeration_partitions():
 
 
 def test_closed_form_frozen_values():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     assert grid.layer_sizes == (1, 2, 3, 2, 1)
     assert hilbert_closed(grid, 1, (2,)) == 2
     assert hilbert_closed(grid, 2, (0, 4)) == 2
@@ -70,7 +70,7 @@ def test_closed_form_frozen_values():
 
 def test_closed_form_matches_rank_oracle_exhaustively():
     for arities in [(4,), (3, 3), (2, 4), (2, 2, 2)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         N = grid.max_weight
         for d in range(N + 1):
             for E in _subsets(N):
@@ -86,7 +86,7 @@ def test_cube_closed_form_agrees_with_general():
 
 
 def test_degenerate_values():
-    grid = make_grid((2, 3))
+    grid = UniformGrid((2, 3))
     N = grid.max_weight
     for E in _subsets(N):
         assert hilbert_closed(grid, N, E) == sum(grid.layer_sizes[w] for w in E)
@@ -96,7 +96,7 @@ def test_degenerate_values():
 
 
 def test_monotone_in_degree_and_set():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     N = grid.max_weight
     for E in _subsets(N):
         values = [hilbert_closed(grid, d, E) for d in range(N + 1)]
@@ -112,7 +112,7 @@ def test_monotone_in_degree_and_set():
 def test_single_layer_display():
     """min(sizes[d], sizes[w]) is the true value for d in the lower half or w >= d."""
     for arities in [(2, 2), (3, 3), (2, 3), (2, 2, 2), (2, 4), (4, 4)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         N = grid.max_weight
         sizes = grid.layer_sizes
         for d in range(N + 1):
@@ -125,14 +125,14 @@ def test_single_layer_display():
 
 def test_single_layer_display_gap():
     """Above the middle degree the min display can undershoot; the smallest case."""
-    grid = make_grid((2, 2))
+    grid = UniformGrid((2, 2))
     assert hilbert_closed(grid, 2, (1,)) == 2
     assert hilbert_layer(grid, 2, 1) == 1
 
 
 def test_single_layer_duality():
     for arities in [(2, 2), (3, 3), (2, 4), (2, 2, 2), (4, 4)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         N = grid.max_weight
         for d in range(N + 1):
             for w in range(N + 1):
@@ -140,7 +140,7 @@ def test_single_layer_duality():
 
 
 def test_bad_arguments():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     with pytest.raises(DegreeOutOfRange):
         hilbert_closed(grid, 5, (1,))
     with pytest.raises(DegreeOutOfRange):
@@ -179,7 +179,7 @@ def test_profile_structure():
 
 def test_profile_value_equals_closed_form():
     for arities in [(3, 3), (2, 2, 2), (2, 4)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         N = grid.max_weight
         for d in range(N + 1):
             for E in _subsets(N):
@@ -191,7 +191,7 @@ def test_profile_requires_enough_weights():
     with pytest.raises(SetTooSmall):
         hilbert_profile(2, (1, 3))
     with pytest.raises(SetTooSmall):
-        profile_value(make_grid((3, 3)), 1, (2,))
+        profile_value(UniformGrid((3, 3)), 1, (2,))
 
 
 def test_interval_compatibility():
@@ -210,21 +210,21 @@ def test_interval_compatibility():
 
 
 def test_interval_rank_hand_instance():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     assert is_interval_compatible(1, 2, (1, 4))
     assert rank_block(grid, (1, 2), (1, 4)) == 3
 
 
 def test_tail_collapse_hand_instance():
     """Columns deep in the tail add no rank beyond the lowest of them."""
-    grid = make_grid((4, 4))
+    grid = UniformGrid((4, 4))
     assert rank_block(grid, (2,), (5, 6)) == rank_block(grid, (2,), (5,)) == 2
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     assert rank_block(grid, (1,), (4,)) == rank_block(grid, (1,), (3, 4)) - 1
 
 
 def test_rank_block_full_degree_is_total_size():
-    grid = make_grid((2, 3))
+    grid = UniformGrid((2, 3))
     N = grid.max_weight
     assert rank_block(grid, range(N + 1), range(N + 1)) == grid.size
 
@@ -242,7 +242,7 @@ _OUTSIDE_FAMILY = [
 
 @st.composite
 def _grid_degree_and_set(draw):
-    grid = make_grid(draw(st.sampled_from(_OUTSIDE_FAMILY)))
+    grid = UniformGrid(draw(st.sampled_from(_OUTSIDE_FAMILY)))
     N = grid.max_weight
     d = draw(st.integers(0, N))
     E = draw(st.sets(st.integers(0, N)))

@@ -10,10 +10,10 @@ from gridhilbert import (
     ExactMatrix,
     LengthMismatch,
     WeightOutOfRange,
+    UniformGrid,
     eval_matrix,
     factorial_diag,
     falling_factorial_value,
-    make_grid,
     rank,
     up_matrix,
 )
@@ -60,7 +60,7 @@ def test_falling_factorial_values():
 
 
 def test_falling_factorial_vanishing_characterization():
-    grid = make_grid((4, 3))
+    grid = UniformGrid((4, 3))
     for alpha in grid.points():
         for x in grid.points():
             value = falling_factorial_value(alpha, x)
@@ -120,7 +120,7 @@ def test_rank_matches_reference_on_random_matrices():
 
 def test_rank_on_all_small_eval_matrices():
     for arities in [(3, 3), (2, 4), (2, 2, 2)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         n = grid.max_weight
         for d in range(n + 1):
             for w in range(n + 1):
@@ -344,7 +344,7 @@ def test_span_extend_stops_once_full():
 
 
 def test_eval_matrix_frozen_example():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     m = eval_matrix(grid, (1,), (2,))
     assert m.row_labels == ((0, 1), (1, 0))
     assert m.col_labels == ((0, 2), (1, 1), (2, 0))
@@ -355,7 +355,7 @@ def test_eval_matrix_entries_are_falling_factorial_values():
     """Every entry is the pointwise definition at its labels, for every pair of
     row and column weight sets, empty ones included."""
     for arities in [(3, 3), (2, 4), (2, 2, 2), (5, 2)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         n = grid.max_weight
         value = {
             (alpha, x): falling_factorial_value(alpha, x)
@@ -377,7 +377,7 @@ def test_eval_matrix_entries_are_falling_factorial_values():
 
 
 def test_up_matrix_frozen_example():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     m = up_matrix(grid, 1)
     assert m.row_labels == ((0, 1), (1, 0))
     assert m.col_labels == ((0, 2), (1, 1), (2, 0))
@@ -385,7 +385,7 @@ def test_up_matrix_frozen_example():
 
 
 def test_up_matrix_rejects_weights_outside_the_grid():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     with pytest.raises(WeightOutOfRange, match=r"^weight 5 outside \[0, 4\]$"):
         up_matrix(grid, grid.max_weight)
     with pytest.raises(WeightOutOfRange, match=r"^weight -1 outside \[0, 4\]$"):
@@ -393,7 +393,7 @@ def test_up_matrix_rejects_weights_outside_the_grid():
 
 
 def test_up_matrix_entries_are_cover_indicators():
-    grid = make_grid((2, 3, 2))
+    grid = UniformGrid((2, 3, 2))
     for d in range(grid.max_weight):
         m = up_matrix(grid, d)
         for i, alpha in enumerate(m.row_labels):
@@ -403,7 +403,7 @@ def test_up_matrix_entries_are_cover_indicators():
 
 
 def test_factorial_diag():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     m = factorial_diag(grid, (2,))
     assert m.row_labels == ((0, 2), (1, 1), (2, 0))
     for i in range(3):
@@ -414,7 +414,7 @@ def test_factorial_diag():
 
 def test_rank_of_wide_product_chain():
     """Multiplying the two layer maps of the Boolean cube drops rank as expected."""
-    grid = make_grid((2, 2, 2))
+    grid = UniformGrid((2, 2, 2))
     chain = up_matrix(grid, 0) @ up_matrix(grid, 1)
     assert chain.n_rows == 1 and chain.n_cols == 3
     assert rank(chain).rank == 1

@@ -15,11 +15,11 @@ import sys
 from test_caches import _lru_caches
 
 from gridhilbert import (
+    UniformGrid,
     hilbert_closed,
     hilbert_cube_closed,
     hilbert_rank_oracle,
     l_bar,
-    make_grid,
     ord_str,
     rank_block,
     standard_monomials,
@@ -63,7 +63,7 @@ def _entered(route, *args):
 
 
 def _cases():
-    grid = make_grid((3, 2, 2))
+    grid = UniformGrid((3, 2, 2))
     points = [(0, 0, 1), (1, 1, 0), (2, 0, 0), (2, 1, 1)]
     return grid, [(1, (0, 3)), (2, (1, 2, 4)), (0, (4,))], points
 

@@ -11,7 +11,7 @@ from test_linalg import _greedy_columns
 from gridhilbert import (
     EmptyMultiset,
     PointNotInGrid,
-    make_grid,
+    UniformGrid,
     ord_str,
     order_shatters,
     standard_monomials,
@@ -50,7 +50,7 @@ def test_downset_size():
 
 
 def test_shatters_small_cases():
-    grid = make_grid((2, 2))
+    grid = UniformGrid((2, 2))
     pts = list(grid.points())
     assert order_shatters(grid, pts, (1, 1))
     assert order_shatters(grid, ((0, 0),), (0, 0))
@@ -63,7 +63,7 @@ def test_shatters_small_cases():
 
 
 def test_shatters_rejects_foreign_multisets():
-    grid = make_grid((2, 2))
+    grid = UniformGrid((2, 2))
     with pytest.raises(PointNotInGrid):
         order_shatters(grid, ((0, 0),), (0, 2))
     # A foreign point of A is reported before a foreign multiset.
@@ -72,18 +72,18 @@ def test_shatters_rejects_foreign_multisets():
 
 
 def test_ord_str_frozen_examples():
-    grid = make_grid((2, 2))
+    grid = UniformGrid((2, 2))
     assert set(ord_str(grid, ())) == set()
     assert set(ord_str(grid, grid.layer(1))) == {(0, 0), (0, 1)}
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     assert set(ord_str(grid, grid.points())) == set(grid.points())
 
 
 def test_standard_monomials_frozen_examples():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     assert set(standard_monomials(grid, ((1, 2),))) == {(0, 0)}
     assert set(standard_monomials(grid, grid.layer(2))) == {(0, 0), (0, 1), (0, 2)}
-    grid = make_grid((2, 2))
+    grid = UniformGrid((2, 2))
     assert set(standard_monomials(grid, ((0, 0), (1, 1)))) == {(0, 0), (0, 1)}
 
 
@@ -101,13 +101,13 @@ def _power_basis_footprint(grid, A):
 
 def test_standard_monomials_match_the_power_basis_scan():
     for arities in [(2, 2), (3, 2), (2, 3), (2, 2, 2)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         pts = list(grid.points())
         for mask in range(1 << len(pts)):
             A = [p for i, p in enumerate(pts) if mask >> i & 1]
             assert set(standard_monomials(grid, A)) == _power_basis_footprint(grid, A)
     rng = random.Random(20261018)
-    grid = make_grid((4, 3, 2))
+    grid = UniformGrid((4, 3, 2))
     pts = list(grid.points())
     for _ in range(16):
         A = rng.sample(pts, rng.randint(0, len(pts)))
@@ -115,7 +115,7 @@ def test_standard_monomials_match_the_power_basis_scan():
 
 
 def test_downset_container_protocol():
-    grid = make_grid((2, 2))
+    grid = UniformGrid((2, 2))
     ds = ord_str(grid, grid.layer(1))
     assert len(ds) == 2
     assert (0, 1) in ds
@@ -130,7 +130,7 @@ def test_routes_agree_exhaustively():
     the coordinate order in the recursion gets exercised both ways.
     """
     for arities in [(3, 2), (4, 2), (2, 2, 2)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         pts = list(grid.points())
         for mask in range(1 << len(pts)):
             A = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
@@ -179,7 +179,7 @@ def _reference_shatters(S, b, memo):
 def test_bitmask_recursion_matches_frozenset_reference():
     """ord_str and order_shatters against the frozenset recursion, every subset."""
     for arities in [(2, 3), (3, 3)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         pts = list(grid.points())
         for mask in range(1 << len(pts)):
             A = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
@@ -193,7 +193,7 @@ def test_bitmask_recursion_matches_frozenset_reference():
 def test_routes_agree_random_larger_grids():
     rng = random.Random(91125)
     for arities in [(3, 3), (2, 3, 2), (4, 3)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         pts = list(grid.points())
         for _ in range(60):
             A = frozenset(rng.sample(pts, rng.randint(0, len(pts))))
@@ -222,7 +222,7 @@ def _as_set(point):
 
 
 def test_cube_recursion_matches_classical_set_version():
-    grid = make_grid((2, 2, 2))
+    grid = UniformGrid((2, 2, 2))
     pts = list(grid.points())
     for mask in range(1 << len(pts)):
         A = [p for i, p in enumerate(pts) if mask >> i & 1]
@@ -234,7 +234,7 @@ def test_cube_recursion_matches_classical_set_version():
 
 
 def test_cube_recursion_matches_classical_random():
-    grid = make_grid((2, 2, 2, 2))
+    grid = UniformGrid((2, 2, 2, 2))
     pts = list(grid.points())
     rng = random.Random(163)
     for _ in range(120):
@@ -247,7 +247,7 @@ def test_cube_recursion_matches_classical_random():
 
 
 def test_shattering_monotone_in_the_set():
-    grid = make_grid((3, 3))
+    grid = UniformGrid((3, 3))
     pts = list(grid.points())
     rng = random.Random(5)
     for _ in range(40):
@@ -258,7 +258,7 @@ def test_shattering_monotone_in_the_set():
 
 def test_layer_standard_monomials_are_complement_stable():
     for arities in [(3, 3), (2, 3), (2, 2, 2)]:
-        grid = make_grid(arities)
+        grid = UniformGrid(arities)
         N = grid.max_weight
         for i in range(N + 1):
             low = set(standard_monomials(grid, grid.layer(i)))
@@ -286,7 +286,7 @@ _OUTSIDE_FAMILY = [
 
 @st.composite
 def _grid_and_points(draw):
-    grid = make_grid(draw(st.sampled_from(_OUTSIDE_FAMILY)))
+    grid = UniformGrid(draw(st.sampled_from(_OUTSIDE_FAMILY)))
     pool = st.sampled_from(list(grid.points()))
     points = draw(st.lists(pool, max_size=10, unique=True))
     return grid, points

@@ -13,7 +13,7 @@ sizes[min(d, w, N - w)] past the middle degree (criterion 3).
 
 import pytest
 
-from gridhilbert.grid import make_grid
+from gridhilbert.grid import UniformGrid
 from gridhilbert.verify import SUITES, Limits, verification_family
 
 OFF_FAMILY = [
@@ -46,12 +46,12 @@ def test_off_family_grids_are_outside_the_family():
     family = {grid.arities for grid in verification_family()}
     for arities in OFF_FAMILY:
         assert arities not in family
-        assert make_grid(arities).size <= 12
+        assert UniformGrid(arities).size <= 12
 
 
 @pytest.mark.parametrize("arities", OFF_FAMILY, ids=lambda a: ",".join(map(str, a)))
 def test_every_law_holds_off_the_family(arities):
-    grid = make_grid(arities)
+    grid = UniformGrid(arities)
     limits = Limits()
     for name in GRID_GENERIC:
         checks = SUITES[name][1]

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from gridhilbert import (
     GridError,
+    UniformGrid,
     hilbert_rank_oracle,
-    make_grid,
     ord_str,
     standard_monomials,
     verification_family,
@@ -55,7 +55,7 @@ def _assert_sweeps_match_one_shot_routes(grid):
 
 def test_sweeps_match_one_shot_routes_on_small_family_grids():
     for arities in [(2, 3), (3, 3), (2, 2, 2)]:
-        _assert_sweeps_match_one_shot_routes(make_grid(arities))
+        _assert_sweeps_match_one_shot_routes(UniformGrid(arities))
 
 
 # Every arity tuple with at most 10 points that is not a grid of the
@@ -72,15 +72,15 @@ _SMALL_OUTSIDE_FAMILY = [
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(st.sampled_from(_SMALL_OUTSIDE_FAMILY))
 def test_sweeps_match_one_shot_routes_off_the_family(arities):
-    _assert_sweeps_match_one_shot_routes(make_grid(arities))
+    _assert_sweeps_match_one_shot_routes(UniformGrid(arities))
 
 
 def test_shattering_sweep_refuses_more_than_16_points_before_allocating():
     for arities in [(17,), (3, 6), (2, 2, 2, 2, 2)]:
         with pytest.raises(GridError, match="at most 16 points"):
-            next(shattering_sweep(make_grid(arities)))
+            next(shattering_sweep(UniformGrid(arities)))
     # A table for 24 points would take 32 MB.
-    grid = make_grid((2,) * 24)
+    grid = UniformGrid((2,) * 24)
     tracemalloc.start()
     try:
         with pytest.raises(GridError):

@@ -295,6 +295,27 @@ MUTANTS = (
         "    if True:\n",
         ("tests/test_cli.py",),
     ),
+    Mutant(
+        "shattering-drops-exhaustive-size-law",
+        "src/gridhilbert/verify.py",
+        "holds = shattered == sm and shattered.bit_count() == mask.bit_count()",
+        "holds = shattered == sm",
+        ("tests/test_golden.py::test_fault_pin[shattering-size]",),
+    ),
+    Mutant(
+        "shattering-drops-sampled-size-law",
+        "src/gridhilbert/verify.py",
+        "holds = shattered == sm and len(shattered) == len(A)",
+        "holds = shattered == sm",
+        ("tests/test_golden.py::test_sampled_shattering_size_fault_pin",),
+    ),
+    Mutant(
+        "interval-rank-drops-min-sum",
+        "src/gridhilbert/verify.py",
+        "yield None if compatible and got == want else dict(",
+        "yield None if compatible else dict(",
+        ("tests/test_golden.py::test_fault_pin[interval-rank-min-sum]",),
+    ),
 )
 
 
