@@ -5,12 +5,14 @@ x closed into A when no polynomial of degree at most d vanishing on A
 separates x, i.e. when the evaluation column of x under the falling
 factorials of weight <= d lies in the exact span of the columns of A
 (linalg.layer_span); applied layerwise this gives the weight-set
-closure, one set at a time or, for every weight set of a grid and
-degree, as a sweep that shares each set's prefix on one Span.  The
-combinatorial route iterates an interval-filling step operator on the
-weight set until it stabilizes.  On grids whose layer-size table is
-strictly unimodal with a flat middle pair the two routes agree, and the
-package keeps both so the agreement is observable rather than assumed.
+closure of one set.  Its sweep form answers every weight set of a grid
+and degree by the equivalent rank criterion: weight j is in the closure
+of E exactly when adding layer j leaves the rank unchanged, which it
+reads off the ranks of hilbert.rank_oracle_sweep.  The combinatorial
+route iterates an interval-filling step operator on the weight set until
+it stabilizes.  On grids whose layer-size table is strictly unimodal
+with a flat middle pair the two routes agree, and the package keeps both
+so the agreement is observable rather than assumed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Iterable, Iterator
 
 from .errors import WeightOutOfRange
 from .grid import Point, UniformGrid, _in_range, check_degree, check_weight_set
-from .linalg import layer_span, subset_sweep
+from .hilbert import rank_oracle_sweep
+from .linalg import layer_span
 
 
 def l_step(N: int, d: int, E: Iterable[int]) -> frozenset[int]:
@@ -88,17 +91,15 @@ def zstar_sweep(grid: UniformGrid, d: int) -> Iterator[frozenset[int]]:
     """zstar_closure(grid, d, E) for every weight set E, E given by the bits
     of mask in range(1 << (N + 1)), in mask order.
 
-    One Span holds the columns of the current set (linalg.subset_sweep);
-    a layer outside the set joins the closure when each of its points'
-    columns lies in the span, the same test as the one-shot route's.
+    Layer j's columns all lie in the span of E's exactly when adding
+    them leaves the rank unchanged, h_d(E | {j}) == h_d(E), so the
+    closures are read off the ranks of rank_oracle_sweep with no
+    membership test; a weight of E passes at once.
     """
-    span, layers = layer_span(grid, d)
-    for mask in subset_sweep(span, layers):
-        yield frozenset(
-            j
-            for j, layer in enumerate(layers)
-            if mask >> j & 1 or all(v in span for v in layer)
-        )
+    ranks = list(rank_oracle_sweep(grid, d))
+    weights = range(grid.max_weight + 1)
+    for mask, r in enumerate(ranks):
+        yield frozenset(j for j in weights if ranks[mask | 1 << j] == r)
 
 
 @dataclass(frozen=True)

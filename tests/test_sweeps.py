@@ -3,8 +3,10 @@
 rank_oracle_sweep and zstar_sweep answer every weight set of one grid
 and degree, footprint_sweep and shattering_sweep every point set of one
 grid; mask bit j is weight j, or the j-th grid point in lex order, and
-the point-set sweeps answer with masks of grid points too.  A mismatch
-is reported with its grid, degree and set.
+the point-set sweeps answer with masks of grid points too.  zstar_sweep
+reads its closures off the ranks and zstar_closure tests span
+membership, so that pair compares two exact criteria.  A mismatch is
+reported with its grid, degree and set.
 """
 
 import itertools

@@ -288,6 +288,15 @@ MUTANTS = (
         "columns = dict(zip(grid.points(), chain(*layers)))",
         ("tests/test_closure.py",),
     ),
+    # Comparing the ranks with <= instead of == gives an equivalent
+    # mutant: adding a layer never lowers the rank.
+    Mutant(
+        "zstar-sweep-toggles-the-bit",
+        "src/gridhilbert/closure.py",
+        "ranks[mask | 1 << j] == r",
+        "ranks[mask ^ 1 << j] == r",
+        ("tests/test_sweeps.py",),
+    ),
     Mutant(
         "decimal-takes-int-spellings",
         "src/gridhilbert/grid.py",
