@@ -48,10 +48,10 @@ print("degree", d, "on layer set", E)
 print(" closed form  :", hilbert_closed(grid, d, E))
 print(" rank oracle  :", hilbert_rank_oracle(grid, d, E))
 
-# When E has at least d + 1 members the answer can be read off a profile:
-# the d + 1 smallest members of E, each paired with a degree from [0, d].
+# When E has at least d + 1 members the same pairing, listed by layer, is a
+# profile: the d + 1 smallest members of E, each with a degree from [0, d].
 d, E = 1, (1, 3)
-pairs = hilbert_profile(d, E)
+pairs = hilbert_profile(grid.max_weight, d, E)
 print()
 print("profile of", E, "at degree", d, "->", pairs)
 print(" profile value:", profile_value(grid, d, E), "  closed form:", hilbert_closed(grid, d, E))

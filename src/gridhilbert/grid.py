@@ -135,16 +135,10 @@ class UniformGrid:
     def is_su2(self) -> bool:
         """Strictly unimodal with a flat middle pair: sizes strictly increase
         up to floor(N/2), sizes[floor(N/2)] == sizes[ceil(N/2)], and strictly
-        decrease afterwards."""
+        decrease afterwards.  Only the increase is tested: the sizes are
+        symmetric, so the flat pair and the decrease follow from it."""
         sizes = self.layer_sizes
-        n = self.max_weight
-        mid = n // 2
-        hi = n - mid
-        if any(sizes[j] >= sizes[j + 1] for j in range(mid)):
-            return False
-        if sizes[mid] != sizes[hi]:
-            return False
-        return all(sizes[j] > sizes[j + 1] for j in range(hi, n))
+        return all(sizes[j] < sizes[j + 1] for j in range(self.max_weight // 2))
 
     def spec(self) -> str:
         """Canonical text form, e.g. '3,3'."""

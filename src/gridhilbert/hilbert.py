@@ -4,13 +4,15 @@ The dimension of the space of functions cut out on a union of layers by
 polynomials of degree at most d has a closed form: layers of weight at
 most d contribute their full size, and the remaining layers are matched
 against the unused weights of [0, d], largest against smallest, each
-pair contributing the smaller layer size.  The rank oracle computes the
-same dimension directly as the rank of the points' falling-factorial
-evaluation columns (linalg.layer_span), and exists so the closed form
-is checkable instance by instance.  Its sweep form answers every weight
-set of one grid and degree in mask order, sharing each set's prefix on
-one Span (linalg.subset_sweep).  rank_block ranks the columns that
-linalg.eval_block cuts from the same table, so no layout is known here.
+pair contributing the smaller layer size.  be_enumeration is that
+pairing, and hilbert_profile lists it by layer weight.  The rank oracle
+computes the same dimension directly as the rank of the points'
+falling-factorial evaluation columns (linalg.layer_span), and exists so
+the closed form is checkable instance by instance.  Its sweep form
+answers every weight set of one grid and degree in mask order, sharing
+each set's prefix on one Span (linalg.subset_sweep).  rank_block ranks
+the columns that linalg.eval_block cuts from the same table, so no
+layout is known here.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
     DuplicateEntries,
     LengthMismatch,
     SetTooSmall,
-    WeightOutOfRange,
 )
 from .grid import UniformGrid, check_degree, check_weight_set
 
@@ -101,35 +102,19 @@ def hilbert_cube_closed(n: int, d: int, E: Iterable[int]) -> int:
     return total
 
 
-def hilbert_profile(d: int, E: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """Profile of E at degree d: pairs (u_j, v_j) for the d+1 smallest members.
+def hilbert_profile(N: int, d: int, E: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Pairs (u, v) of be_enumeration(N, d, E) in increasing u.
 
-    The u's are the d+1 smallest members of E in increasing order.  The
-    v's are a rearrangement of [0, d]: v_j = u_j wherever u_j <= d, and
-    the remaining values of [0, d] are assigned to the positions with
-    u_j > d in decreasing order.  Requires |E| >= d + 1.
+    Each kept weight u pairs with itself, and the members of E beyond d,
+    increasing, pair with t_desc.  So the u's are the d+1 smallest
+    members of E and the v's a rearrangement of [0, d].  Requires
+    |E| >= d + 1.
     """
-    if not isinstance(d, int) or d < 0:
-        raise DegreeOutOfRange(f"degree {d!r} must be nonnegative")
-    members = sorted(set(E))
-    if any(not isinstance(w, int) or w < 0 for w in members):
-        raise WeightOutOfRange("weights must be nonnegative integers")
-    if len(members) < d + 1:
-        raise SetTooSmall(
-            f"need at least {d + 1} weights, got {len(members)}"
-        )
-    u = members[: d + 1]
-    low_used = {w for w in u if w <= d}
-    spare = sorted(set(range(d + 1)) - low_used, reverse=True)
-    pairs = []
-    pos = 0
-    for uj in u:
-        if uj <= d:
-            pairs.append((uj, uj))
-        else:
-            pairs.append((uj, spare[pos]))
-            pos += 1
-    return tuple(pairs)
+    be = be_enumeration(N, d, E)
+    size = len(be.kept) + len(be.w_asc)
+    if size < d + 1:
+        raise SetTooSmall(f"need at least {d + 1} weights, got {size}")
+    return tuple((u, u) for u in be.kept) + tuple(zip(be.w_asc, be.t_desc))
 
 
 def is_interval_compatible(c: int, d: int, values: Sequence[int]) -> bool:
@@ -170,8 +155,9 @@ def rank_block(
 def profile_value(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
     """Sum of min(sizes[u], sizes[v]) over the profile pairs."""
     sizes = grid.layer_sizes
-    E = check_weight_set(E, grid.max_weight)
-    return sum(min(sizes[u], sizes[v]) for u, v in hilbert_profile(d, E))
+    return sum(
+        min(sizes[u], sizes[v]) for u, v in hilbert_profile(grid.max_weight, d, E)
+    )
 
 
 def cube(n: int) -> UniformGrid:

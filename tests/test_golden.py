@@ -191,6 +191,11 @@ CLI_ERRORS = [
         "DegreeOutOfRange: degree 5 outside [0, 4]",
     ),
     (
+        "profile --grid 3,3 --degree 9 --set 0-4",
+        1,
+        "DegreeOutOfRange: degree 9 outside [0, 4]",
+    ),
+    (
         "verify nosuch",
         1,
         "UnknownSuite: unknown suite 'nosuch'; choose from: grid-hilbert, cube, "

@@ -129,6 +129,24 @@ def test_su2_classification():
     assert not UniformGrid((4,)).is_su2()
     assert not UniformGrid((2, 4)).is_su2()
 
+    def su2(sizes):
+        n = len(sizes) - 1
+        mid, hi = n // 2, n - n // 2
+        return (
+            all(sizes[j] < sizes[j + 1] for j in range(mid))
+            and sizes[mid] == sizes[hi]
+            and all(sizes[j] > sizes[j + 1] for j in range(hi, n))
+        )
+
+    grids = [
+        UniformGrid(arities)
+        for n in range(1, 5)
+        for arities in itertools.product(range(2, 7), repeat=n)
+    ]
+    assert len(grids) == 780
+    for grid in grids:
+        assert grid.is_su2() == su2(grid.layer_sizes), grid.arities
+
 
 def test_spec_and_parse_round_trip():
     grid = UniformGrid((2, 3, 4))

@@ -158,9 +158,9 @@ def test_bad_arguments():
 
 
 def test_profile_frozen_example():
-    assert hilbert_profile(2, (1, 3, 4)) == ((1, 1), (3, 2), (4, 0))
-    assert hilbert_profile(0, (5,)) == ((5, 0),)
-    assert hilbert_profile(2, (0, 1, 2, 6)) == ((0, 0), (1, 1), (2, 2))
+    assert hilbert_profile(4, 2, (1, 3, 4)) == ((1, 1), (3, 2), (4, 0))
+    assert hilbert_profile(5, 0, (5,)) == ((5, 0),)
+    assert hilbert_profile(6, 2, (0, 1, 2, 6)) == ((0, 0), (1, 1), (2, 2))
 
 
 def test_profile_structure():
@@ -168,7 +168,7 @@ def test_profile_structure():
         for E in _subsets(8):
             if len(E) < d + 1:
                 continue
-            pairs = hilbert_profile(d, E)
+            pairs = hilbert_profile(8, d, E)
             assert len(pairs) == d + 1
             us = [u for u, _ in pairs]
             vs = [v for _, v in pairs]
@@ -189,7 +189,7 @@ def test_profile_value_equals_closed_form():
 
 def test_profile_requires_enough_weights():
     with pytest.raises(SetTooSmall):
-        hilbert_profile(2, (1, 3))
+        hilbert_profile(3, 2, (1, 3))
     with pytest.raises(SetTooSmall):
         profile_value(UniformGrid((3, 3)), 1, (2,))
 

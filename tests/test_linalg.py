@@ -80,6 +80,8 @@ def _point_factorial(alpha):
 def test_matrix_validation():
     with pytest.raises(DuplicateEntries):
         ExactMatrix(((0,), (0,)), ((1,),), ((1,), (2,)))
+    with pytest.raises(DuplicateEntries, match="^duplicate column labels$"):
+        ExactMatrix(((0,),), ((1,), (1,)), ((1, 2),))
     with pytest.raises(LengthMismatch):
         ExactMatrix(((0,),), ((1,), (2,)), ((1,),))
     with pytest.raises(LengthMismatch):

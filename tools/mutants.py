@@ -52,6 +52,20 @@ MUTANTS = (
         ("tests/test_hilbert.py",),
     ),
     Mutant(
+        "profile-spare-ascending",
+        "src/gridhilbert/hilbert.py",
+        "zip(be.w_asc, be.t_desc)",
+        "zip(be.w_asc, sorted(be.t_desc))",
+        ("tests/test_hilbert.py",),
+    ),
+    Mutant(
+        "su2-weak-growth",
+        "src/gridhilbert/grid.py",
+        "all(sizes[j] < sizes[j + 1] for j in range(self.max_weight // 2))",
+        "all(sizes[j] <= sizes[j + 1] for j in range(self.max_weight // 2))",
+        ("tests/test_grid.py",),
+    ),
+    Mutant(
         "wilson-w-before-d",
         "src/gridhilbert/verify.py",
         "    for d in range(N + 1):\n"
