@@ -12,7 +12,6 @@ from gridhilbert import (
     hilbert_closed,
     hilbert_profile,
     hilbert_rank_oracle,
-    profile_value,
 )
 
 # The running example is the 3x3 grid: points (a, b) with 0 <= a, b <= 2,
@@ -50,11 +49,12 @@ print(" rank oracle  :", hilbert_rank_oracle(grid, d, E))
 
 # When E has at least d + 1 members the same pairing, listed by layer, is a
 # profile: the d + 1 smallest members of E, each with a degree from [0, d].
+# The closed form is the sum of min(sizes[u], sizes[v]) over its pairs.
 d, E = 1, (1, 3)
 pairs = hilbert_profile(grid.max_weight, d, E)
 print()
 print("profile of", E, "at degree", d, "->", pairs)
-print(" profile value:", profile_value(grid, d, E), "  closed form:", hilbert_closed(grid, d, E))
+print(" closed form  :", hilbert_closed(grid, d, E))
 
 # One caution about single layers.  The display min(sizes[d], sizes[w]) is
 # correct whenever d is at most half the top weight, and whenever w >= d,

@@ -49,7 +49,6 @@ from .hilbert import (
     hilbert_profile,
     hilbert_rank_oracle,
     is_interval_compatible,
-    profile_value,
     rank_block,
 )
 from .linalg import (

@@ -72,7 +72,7 @@ def _cmd_be_enum(args: argparse.Namespace, grid: UniformGrid) -> _Output:
 def _cmd_profile(args: argparse.Namespace, grid: UniformGrid) -> _Output:
     E = parse_weight_set(args.set, grid)
     pairs = _hilbert.hilbert_profile(grid.max_weight, args.degree, E)
-    value = _hilbert.profile_value(grid, args.degree, E)
+    value = _hilbert.hilbert_closed(grid, args.degree, E)
     payload = dict(grid=grid.spec(), degree=args.degree, set=list(E))
     payload.update(profile=[[u, v] for u, v in pairs], value=str(value))
     return payload, [f"{u},{v}" for u, v in pairs] + [f"value={value}"]

@@ -2,8 +2,9 @@
 
 Two routes to the same object.  The brute-force route declares a point
 x closed into A when no polynomial of degree at most d vanishing on A
-separates x, i.e. when the evaluation column of x under the falling
-factorials of weight <= d lies in the exact span of the columns of A
+separates x, i.e. when the evaluation column of x under the binomials
+C(x, alpha) = x^(alpha) / alpha! of weight <= d, the falling factorials
+rescaled, lies in the exact span of the columns of A
 (linalg.layer_span); applied layerwise this gives the weight-set
 closure of one set.  Its sweep form answers every weight set of a grid
 and degree by the equivalent rank criterion: weight j is in the closure

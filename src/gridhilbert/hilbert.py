@@ -7,8 +7,10 @@ against the unused weights of [0, d], largest against smallest, each
 pair contributing the smaller layer size.  be_enumeration is that
 pairing, and hilbert_profile lists it by layer weight.  The rank oracle
 computes the same dimension directly as the rank of the points'
-falling-factorial evaluation columns (linalg.layer_span), and exists so
-the closed form is checkable instance by instance.  Its sweep form
+evaluation columns (linalg.layer_span) under the binomials C(x, alpha) =
+x^(alpha) / alpha! of weight at most d, which span the same functions as
+the falling factorials, and exists so the closed form is checkable
+instance by instance.  Its sweep form
 answers every weight set of one grid and degree in mask order, sharing
 each set's prefix on one Span (linalg.subset_sweep).  rank_block ranks
 the columns that linalg.eval_block cuts from the same table, so no
@@ -150,14 +152,6 @@ def rank_block(
     columns = linalg.eval_block(grid, row_weights, col_weights)
     span = linalg.Span(len(columns[0]) if columns else 0)
     return len(span.extend(columns))
-
-
-def profile_value(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
-    """Sum of min(sizes[u], sizes[v]) over the profile pairs."""
-    sizes = grid.layer_sizes
-    return sum(
-        min(sizes[u], sizes[v]) for u, v in hilbert_profile(grid.max_weight, d, E)
-    )
 
 
 def cube(n: int) -> UniformGrid:

@@ -11,22 +11,30 @@ that to visit every union of a list of blocks in increasing mask order
 with about two span operations per mask instead of a fresh elimination.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  One builder,
-falling_factorial_rows, makes every falling-factorial table: the cached
-evaluation table (eval_columns) picks graded runs from its rows and the
-footprint scans read full rows.  Only this module knows the table's
+binomial_rows, makes every evaluation table, in the binomial basis
+C(x, alpha) = x^(alpha) / alpha!: the cached evaluation table
+(eval_columns) picks graded runs from its rows and the footprint scans
+read full rows.  Scaling each exponent's entries by the nonzero alpha!
+changes no rank, no span membership and no pivot position, so every
+route answers as on the paper's falling factorials and keeps the same
+lex-first exponents.  C(x, alpha) vanishes unless alpha <= x
+componentwise, which lex order extends, and C(x, x) = 1, so the full
+grid's table is lower unitriangular, hence unimodular, and the Span's
+entries, minors of it, stay small.  Only this module knows the table's
 layout: layer_span returns a Span of chosen layers' columns for the rank
 oracle, its sweep and the closure routes, and eval_block cuts row-weight
-runs from it for rank_block and eval_matrix.  ExactMatrix holds dense
-integer matrices with grid-point labels for the matrix dumps, the
-up-rank and factorization suites and the demos; rank reports only its
-rank, from its columns added left to right to a Span.
+runs from it for rank_block and eval_matrix; eval_matrix scales row
+alpha by alpha!, so the matrix dumps keep falling-factorial entries.
+ExactMatrix holds dense integer matrices with grid-point labels for the
+matrix dumps, the up-rank and factorization suites and the demos; rank
+reports only its rank, from its columns added left to right to a Span.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, perm, prod
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateEntries, LengthMismatch
@@ -227,14 +235,15 @@ def rank(matrix: ExactMatrix) -> RankResult:
     return RankResult(len(Span(matrix.n_rows).extend(zip(*matrix.entries))))
 
 
-def falling_factorial_rows(
+def binomial_rows(
     grid: UniformGrid, box: Sequence[int], points: Iterable[Point]
 ) -> Iterator[list[int]]:
-    """Per point x, the values x^(alpha) for the exponents alpha < box in
-    lex order: the Kronecker product of the rows perm(x_i, a), a < box[i].
+    """Per point x, the values C(x, alpha) = x^(alpha) / alpha! for the
+    exponents alpha < box in lex order: the Kronecker product of the rows
+    comb(x_i, a), a < box[i].
     """
     tables = [
-        [[perm(x, a) for a in range(m)] for x in range(k)]
+        [[comb(x, a) for a in range(m)] for x in range(k)]
         for k, m in zip(grid.arities, box)
     ]
     for x in points:
@@ -248,16 +257,16 @@ def falling_factorial_rows(
 def eval_columns(grid: UniformGrid, d: int) -> _Columns:
     """Per weight w, the columns of layer w's points in lex order.
 
-    A column holds the point's values under the falling factorials of
-    weight <= d in grid.unfold(range(d + 1)) order, so exponent weight t
-    is a run at offset sum(grid.layer_sizes[:t]), picked from the rows
-    of falling_factorial_rows with box min(d, k_i - 1) + 1.
+    A column holds the point's values under the binomials of weight <= d
+    in grid.unfold(range(d + 1)) order, so exponent weight t is a run at
+    offset sum(grid.layer_sizes[:t]), picked from the rows of
+    binomial_rows with box min(d, k_i - 1) + 1.
     """
     box = [min(d, k - 1) + 1 for k in grid.arities]
     lex = {alpha: i for i, alpha in enumerate(itertools.product(*map(range, box)))}
     picks = [lex[alpha] for alpha in grid.unfold(range(d + 1))]
     out = [[] for _ in grid.layer_sizes]
-    rows = falling_factorial_rows(grid, box, grid.points())
+    rows = binomial_rows(grid, box, grid.points())
     for x, values in zip(grid.points(), rows):
         out[sum(x)].append(tuple(map(values.__getitem__, picks)))
     return tuple(map(tuple, out))
@@ -267,7 +276,7 @@ def eval_block(
     grid: UniformGrid, row_weights: Iterable[int], col_weights: Iterable[int]
 ) -> list[list[int]]:
     """Per point of the unfolded column weight set, its values under the
-    falling factorials of the unfolded row weight set, both in canonical
+    binomials of the unfolded row weight set, both in canonical
     order: each row weight's run, cut from eval_columns(grid, max row weight).
     """
     rows = check_weight_set(row_weights, grid.max_weight)
@@ -300,13 +309,18 @@ def eval_matrix(
     """Evaluation matrix between two weight-determined sets.
 
     Rows are the exponents of the unfolded row weight set, columns the
-    points of the unfolded column weight set, both in canonical order;
-    column j is eval_block's j-th column.
+    points of the unfolded column weight set, both in canonical order.
+    Entry (alpha, x) is the falling factorial x^(alpha): eval_block's
+    binomial C(x, alpha) with row alpha scaled by alpha!.
     """
     row_weights, col_weights = tuple(row_weights), tuple(col_weights)
     block = eval_block(grid, row_weights, col_weights)
     rows = grid.unfold(row_weights)
     entries = tuple(zip(*block)) if block else ((),) * len(rows)
+    entries = tuple(
+        tuple(prod(map(factorial, alpha)) * e for e in row)
+        for alpha, row in zip(rows, entries)
+    )
     return ExactMatrix(rows, grid.unfold(col_weights), entries)
 
 

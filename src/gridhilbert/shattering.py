@@ -29,14 +29,16 @@ Standard monomials are computed by a separate route with no shattering
 in it: scan the monomials X^alpha for alpha in the grid in ascending lex
 order, add each one's evaluation column over A to an exact linalg.Span,
 keep those that enlarge it, and stop once |A| are kept.  The columns
-hold falling-factorial values (linalg.falling_factorial_rows), not
-powers, and both scans keep the same exponents: x^(alpha) is x^alpha
-plus multiples of x^beta with beta <= alpha componentwise and beta !=
-alpha, each lex-smaller than alpha, so the first m exponents in lex
-order span the same column space in either basis.  The footprint sweep
+hold binomial values C(x, alpha) = x^(alpha) / alpha!
+(linalg.binomial_rows), not powers, and both scans keep the same
+exponents: the falling factorial x^(alpha) is x^alpha plus multiples of
+x^beta with beta <= alpha componentwise and beta != alpha, each
+lex-smaller than alpha, so the first m exponents in lex order span the
+same column space in either basis, and dividing each column by the
+nonzero alpha! changes no span.  The footprint sweep
 gives the same sets, as masks, for every point set of a grid in mask
 order by plain linear algebra: each point adds its row of all grid
-falling factorials to one Span, prefixes are shared
+binomials to one Span, prefixes are shared
 (linalg.subset_sweep), and the row pivots, the lex-first column basis,
 are the standard monomials.  The two routes coincide on every set of
 grid points, and that equality is part of the verification surface of
@@ -52,7 +54,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyMultiset, GridTooLarge
 from .grid import Point, UniformGrid
-from .linalg import _GRID_CACHE_SIZE, Span, falling_factorial_rows, subset_sweep
+from .linalg import _GRID_CACHE_SIZE, Span, binomial_rows, subset_sweep
 
 
 def tau(b: Iterable[int]) -> int:
@@ -196,7 +198,7 @@ def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point
     pts = tuple(sorted({grid.check_point(p) for p in A}))
     # A list, not a generator, under zip(*...): unpacking a generator there
     # left the shattering sweep's peak RSS about 0.7 MB higher.
-    rows = list(falling_factorial_rows(grid, grid.arities, pts))
+    rows = list(binomial_rows(grid, grid.arities, pts))
     kept = Span(len(pts)).extend(zip(*rows))
     exponents = tuple(grid.points())
     return frozenset(exponents[j] for j in kept)
@@ -207,13 +209,13 @@ def footprint_sweep(grid: UniformGrid) -> Iterator[int]:
     order.  Bit i of a mask, both of A's and of the answer, is the i-th
     grid point in lex order.
 
-    Each point of A adds its full falling-factorial row to one Span (the
+    Each point of A adds its full binomial row to one Span (the
     prefix of each set is shared, linalg.subset_sweep).  The pivot
     positions of a Span fed the rows of a matrix form its lex-first column
     basis, so they are the monomials the column scan keeps.
     """
     exponents = tuple(grid.points())
     span = Span(len(exponents))
-    blocks = [[row] for row in falling_factorial_rows(grid, grid.arities, exponents)]
+    blocks = [[row] for row in binomial_rows(grid, grid.arities, exponents)]
     for _ in subset_sweep(span, blocks):
         yield sum(1 << c for c in span.pivots)

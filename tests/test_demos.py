@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # demo file -> sha256 of its stdout; every demo exits 0.
 DEMO_SHA256 = {
     "closure_walkthrough.py": "ce966046a11810816178f49aba721858fdd87f735a0b4c0827ec58da91afaf7d",
-    "hilbert_walkthrough.py": "dbb5960960040540d62c2c0ab7ef31ccd5584a03457cc0a891e687d238039fac",
+    "hilbert_walkthrough.py": "9e94d8bfdad5a881d2c80e639cb815a051f36e28007cdb7791c939e8b9fe2958",
     "shattering_walkthrough.py": "85e1834d67a5b0c4edd2a8ca1b6f2d54e124fc090958121011784da727533528",
 }
 

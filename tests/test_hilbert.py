@@ -28,7 +28,6 @@ from gridhilbert import (
     hilbert_rank_oracle,
     is_interval_compatible,
     l_bar,
-    profile_value,
     rank_block,
     verification_family,
     zstar_closure,
@@ -177,21 +176,9 @@ def test_profile_structure():
             assert all(v == u for u, v in pairs if u <= d)
 
 
-def test_profile_value_equals_closed_form():
-    for arities in [(3, 3), (2, 2, 2), (2, 4)]:
-        grid = UniformGrid(arities)
-        N = grid.max_weight
-        for d in range(N + 1):
-            for E in _subsets(N):
-                if len(E) >= d + 1:
-                    assert profile_value(grid, d, E) == hilbert_closed(grid, d, E)
-
-
 def test_profile_requires_enough_weights():
     with pytest.raises(SetTooSmall):
         hilbert_profile(3, 2, (1, 3))
-    with pytest.raises(SetTooSmall):
-        profile_value(UniformGrid((3, 3)), 1, (2,))
 
 
 def test_interval_compatibility():

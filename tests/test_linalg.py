@@ -17,7 +17,8 @@ from gridhilbert import (
     rank,
     up_matrix,
 )
-from gridhilbert.linalg import Span, subset_sweep
+from gridhilbert.linalg import Span, binomial_rows, layer_span, subset_sweep
+from gridhilbert.verify import verification_family
 
 
 def _reference_rank(entries):
@@ -376,6 +377,27 @@ def test_eval_matrix_entries_are_falling_factorial_values():
                     tuple(value[alpha, x] for x in m.col_labels)
                     for alpha in m.row_labels
                 ), (arities, rows, cols)
+
+
+def test_binomial_table_is_unitriangular_and_its_spans_stay_at_one_bit():
+    """C(x, alpha) vanishes unless alpha <= x componentwise, which lex order
+    extends, and C(x, x) = 1; so the full grid's table is lower unitriangular,
+    hence unimodular, and every Bareiss entry of a layer span, a minor of
+    it, is -1, 0 or 1.  Ranks, closures and footprints are invariant under
+    scaling an exponent's entries, so they cannot tell this table from the
+    falling-factorial one; the size of the span's entries can."""
+    off_family = [(2, 3, 4, 5), (6, 6, 6), (5, 5, 2), (6, 9), (3, 3, 3, 3)]
+    grids = [*verification_family(), *map(UniformGrid, off_family)]
+    for grid in grids:
+        table = list(binomial_rows(grid, grid.arities, grid.points()))
+        for i, row in enumerate(table):
+            assert row[i] == 1 and not any(row[i + 1 :]), (grid.spec(), i)
+        N = grid.max_weight
+        for d in range(N + 1):
+            span, _ = layer_span(grid, d, range(N + 1))
+            assert span.rank == sum(grid.layer_sizes[: d + 1])
+            entries = {a for _, row in span._rows for a in row}
+            assert entries <= {-1, 0, 1}, (grid.spec(), d, max(map(abs, entries)))
 
 
 def test_up_matrix_frozen_example():

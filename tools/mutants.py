@@ -275,17 +275,40 @@ MUTANTS = (
     Mutant(
         "falling-factorials-as-powers",
         "src/gridhilbert/linalg.py",
-        "[[perm(x, a) for a in range(m)] for x in range(k)]",
+        "[[comb(x, a) for a in range(m)] for x in range(k)]",
         "[[x**a for a in range(m)] for x in range(k)]",
         (
+            "tests/test_acceptance.py::test_criterion_05_factorization_through_cover_chains",
+        ),
+    ),
+    # Every rank, closure and footprint answer is invariant under scaling
+    # an exponent's entries, so a builder of falling factorials x^(alpha) =
+    # alpha! C(x, alpha) gives the routes the same answers; the size of the
+    # span's entries tells them apart.
+    Mutant(
+        "binomials-as-falling-factorials",
+        "src/gridhilbert/linalg.py",
+        "[[comb(x, a) for a in range(m)] for x in range(k)]",
+        "[[comb(x, a) * factorial(a) for a in range(m)] for x in range(k)]",
+        (
+            "tests/test_linalg.py::test_binomial_table_is_unitriangular_and_its_spans_stay_at_one_bit",
+        ),
+    ),
+    Mutant(
+        "eval-matrix-drops-factorial-scale",
+        "src/gridhilbert/linalg.py",
+        "tuple(prod(map(factorial, alpha)) * e for e in row)",
+        "tuple(row)",
+        (
+            "tests/test_linalg.py::test_eval_matrix_entries_are_falling_factorial_values",
             "tests/test_acceptance.py::test_criterion_05_factorization_through_cover_chains",
         ),
     ),
     Mutant(
         "footprint-rows-in-graded-order",
         "src/gridhilbert/shattering.py",
-        "falling_factorial_rows(grid, grid.arities, exponents)",
-        "falling_factorial_rows(grid, grid.arities, sorted(exponents, key=sum))",
+        "binomial_rows(grid, grid.arities, exponents)",
+        "binomial_rows(grid, grid.arities, sorted(exponents, key=sum))",
         ("tests/test_sweeps.py",),
     ),
     Mutant(
