@@ -5,6 +5,9 @@ incremental fraction-free (Bareiss) span of integer vectors: the rank
 oracle and the block ranks add evaluation columns to it, the closure
 routes ask whether a column lies in it, and the footprint scan keeps
 the monomial columns that enlarge it.  Nothing here ever rounds.  A
+Bareiss step writes only the stored row's nonzero positions; every other
+entry is only rescaled, and the scale is applied once, when add stores
+the row, so a step costs the row's nonzeros, not the vector's length.  A
 stored row depends only on the rows before it, so Span.truncate(r)
 leaves exactly the span of the first r stored rows; subset_sweep uses
 that to visit every union of a list of blocks in increasing mask order
@@ -130,17 +133,26 @@ class Span:
     Each stored row is an added vector after reduction by the rows stored
     before it, with Bareiss's two-term update v = (p*v - v[c]*row) // prev,
     where c and p are the row's pivot position and entry and prev is the
-    previous row's pivot entry (1 for the first row).  The update is
-    applied to every entry, also when v[c] == 0, so every entry stays a
-    minor of the vectors seen so far whatever the pivot positions, and by
-    Sylvester's identity each division is exact.
+    previous row's pivot entry (1 for the first row).  Every entry of the
+    reduced vector is then a minor of the vectors seen so far, whatever the
+    pivot positions, and by Sylvester's identity each division is exact.
+
+    A step writes only the row's support, its nonzero positions from c on,
+    which add records beside the row, and only when v[c] != 0: at every
+    other entry the update multiplies by p / prev, and these factors
+    telescope.  So _reduce keeps, per entry, the pivot entry q at which it
+    was last written (1 if never), and the entry's current value is
+    v[i] * prev // q, exact because that value is a minor.  Only add needs
+    the values; membership needs only whether every entry is zero, which
+    no rescaling changes.
     """
 
-    __slots__ = ("length", "_rows")
+    __slots__ = ("length", "_rows", "_supports")
 
     def __init__(self, length: int) -> None:
         self.length = length
         self._rows: list[tuple[int, list[int]]] = []
+        self._supports: list[list[int]] = []
 
     @property
     def rank(self) -> int:
@@ -155,18 +167,22 @@ class Span:
         if len(v) != self.length:
             raise LengthMismatch(f"vector length {len(v)} != span length {self.length}")
 
-    def _reduce(self, v: Sequence[int]) -> list[int]:
+    def _reduce(self, v: Sequence[int]) -> tuple[list[int], list[int], int]:
+        """v reduced by every stored row, as entries, the pivot entry at
+        which each was last written, and the last row's pivot entry."""
         v = list(v)
+        scale = [1] * len(v)
         prev = 1
-        for c, row in self._rows:
+        for (c, row), support in zip(self._rows, self._supports):
             p = row[c]
             f = v[c]
             if f:
-                v = [(p * a - f * b) // prev for a, b in zip(v, row)]
-            elif p != prev:
-                v = [p * a // prev for a in v]
+                f = f * prev // scale[c]
+                for i in support:
+                    v[i] = (p * (v[i] * prev // scale[i]) - f * row[i]) // prev
+                    scale[i] = p
             prev = p
-        return v
+        return v, scale, prev
 
     def add(self, v: Sequence[int]) -> int | None:
         """Store v; its pivot position, or None when v is already in the span.
@@ -175,16 +191,18 @@ class Span:
         returns None.
         """
         self._check_length(v)
-        v = self._reduce(v)
+        v, scale, prev = self._reduce(v)
         for c, a in enumerate(v):
             if a:
-                self._rows.append((c, v))
+                row = [x * prev // q for x, q in zip(v, scale)]
+                self._rows.append((c, row))
+                self._supports.append([i for i in range(c, self.length) if row[i]])
                 return c
         return None
 
     def __contains__(self, v: Sequence[int]) -> bool:
         self._check_length(v)
-        return len(self._rows) == self.length or not any(self._reduce(v))
+        return len(self._rows) == self.length or not any(self._reduce(v)[0])
 
     def extend(self, vectors: Iterable[Sequence[int]]) -> list[int]:
         """Add vectors in order until the span is full; the positions kept."""
@@ -205,6 +223,7 @@ class Span:
                 f"cannot truncate a span of rank {len(self._rows)} to {rank}"
             )
         del self._rows[rank:]
+        del self._supports[rank:]
 
 
 def subset_sweep(

@@ -268,6 +268,56 @@ def test_truncate_leaves_the_span_of_the_rows_kept():
             span.truncate(bad)
 
 
+class _DenseBareiss:
+    """Reference span: Bareiss's two-term update applied to every entry of
+    the vector at every stored row, with no support or scale bookkeeping."""
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, v):
+        v, prev = list(v), 1
+        for c, row in self.rows:
+            p, f = row[c], v[c]
+            v = [(p * a - f * b) // prev for a, b in zip(v, row)]
+            prev = p
+        c = next((i for i, a in enumerate(v) if a), None)
+        if c is not None:
+            self.rows.append((c, v))
+        return c
+
+
+def test_stored_rows_match_the_dense_bareiss_reference():
+    """Span writes only a stored row's support and rescales the other
+    entries lazily; its stored rows must be the dense update's integers."""
+
+    def feed(span, ref, vectors):
+        for v in vectors:
+            assert span.add(v) == ref.add(v)
+            assert span._rows == ref.rows, (vectors, v)
+
+    for length, vectors, probes in _random_cases():
+        span, ref = Span(length), _DenseBareiss()
+        feed(span, ref, vectors + probes)
+        for r in range(span.rank + 1):
+            span.truncate(r)
+            del ref.rows[r:]
+            feed(span, ref, probes + vectors)
+    rng = random.Random(20261019)
+    for arities in [(5, 5, 2), (6, 9), (3, 3, 3, 3)]:
+        grid = UniformGrid(arities)
+        N = grid.max_weight
+        for _ in range(12):
+            d = rng.randint(0, N)
+            weights = sorted(rng.sample(range(N + 1), rng.randint(1, N + 1)))
+            span, layers = layer_span(grid, d, weights)
+            ref = _DenseBareiss()
+            for w in weights:
+                for v in layers[w]:
+                    ref.add(v)
+            assert span._rows == ref.rows, (arities, d, weights)
+
+
 def test_row_pivots_are_the_greedy_column_basis():
     rng = random.Random(11)
     for trial in range(200):

@@ -86,11 +86,25 @@ MUTANTS = (
         ("tests/test_hilbert.py",),
     ),
     Mutant(
-        "bareiss-skips-zero-multiplier",
+        "bareiss-scale-not-recorded",
         "src/gridhilbert/linalg.py",
-        "            elif p != prev:\n",
-        "            elif False:\n",
-        ("tests/test_linalg.py",),
+        "                    scale[i] = p\n",
+        "",
+        ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
+    ),
+    Mutant(
+        "bareiss-drops-final-rescale",
+        "src/gridhilbert/linalg.py",
+        "row = [x * prev // q for x, q in zip(v, scale)]",
+        "row = v",
+        ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
+    ),
+    Mutant(
+        "truncate-leaves-supports",
+        "src/gridhilbert/linalg.py",
+        "        del self._supports[rank:]\n",
+        "",
+        ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
     ),
     Mutant(
         "cut-masks-le",
@@ -140,11 +154,11 @@ MUTANTS = (
         "length-check-after-full-return",
         "src/gridhilbert/linalg.py",
         "        self._check_length(v)\n"
-        "        return len(self._rows) == self.length or not any(self._reduce(v))\n",
+        "        return len(self._rows) == self.length or not any(self._reduce(v)[0])\n",
         "        if len(self._rows) == self.length:\n"
         "            return True\n"
         "        self._check_length(v)\n"
-        "        return not any(self._reduce(v))\n",
+        "        return not any(self._reduce(v)[0])\n",
         ("tests/test_linalg.py",),
     ),
     Mutant(
