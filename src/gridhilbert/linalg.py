@@ -15,14 +15,16 @@ with about two span operations per mask instead of a fresh elimination.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  One builder,
 binomial_rows, makes every evaluation table, in the binomial basis
-C(x, alpha) = x^(alpha) / alpha!: the cached evaluation table
-(eval_columns) picks graded runs from its rows and the footprint scans
-read full rows.  Scaling each exponent's entries by the nonzero alpha!
+C(x, alpha) = x^(alpha) / alpha!, one exponent's row at a time.  Each
+grid holds one table of point columns over the exponents in graded
+order, so a lower degree's table is a prefix of every column: a higher
+degree appends only the new weight runs, and eval_columns cuts a lower
+degree from it.  Scaling each exponent's entries by the nonzero alpha!
 changes no rank, no span membership and no pivot position, so every
 route answers as on the paper's falling factorials and keeps the same
 lex-first exponents.  C(x, alpha) vanishes unless alpha <= x
 componentwise, which lex order extends, and C(x, x) = 1, so the full
-grid's table is lower unitriangular, hence unimodular, and the Span's
+grid's table is unitriangular, hence unimodular, and the Span's
 entries, minors of it, stay small.  Only this module knows the table's
 layout: layer_span returns a Span of chosen layers' columns for the rank
 oracle, its sweep and the closure routes, and eval_block cuts row-weight
@@ -38,16 +40,17 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateEntries, LengthMismatch
 from .grid import Point, UniformGrid, check_degree, check_weight_set
 
-# Cache bound per grid, or per grid and degree: a sweep uses one grid at a
-# time, with at most 8 degrees in the default family.  In one process, a
-# default "verify all" hit eval_columns 4,236 of 4,783 calls and
-# _shatter_tables 1,533 of 1,568; the benchmark query list at seed 1729
-# hit them 10 of 77 and 14 of 21.
+# Cache bound per grid: a sweep uses one grid at a time.  In one process,
+# a default "verify all" hit _shatter_tables 1,533 of 1,568 calls; the
+# benchmark query list at seed 1729, 77 tables on 7 grids, builds 22
+# weight-run growths of 130,682 cells in all, where a cache of 8 (grid,
+# degree) tables built 67 tables of 619,672 cells.
 _GRID_CACHE_SIZE = 8
 
 _Columns = tuple[tuple[tuple[int, ...], ...], ...]
@@ -255,40 +258,61 @@ def rank(matrix: ExactMatrix) -> RankResult:
 
 
 def binomial_rows(
-    grid: UniformGrid, box: Sequence[int], points: Iterable[Point]
+    exponents: Iterable[Point], points: Sequence[Point]
 ) -> Iterator[list[int]]:
-    """Per point x, the values C(x, alpha) = x^(alpha) / alpha! for the
-    exponents alpha < box in lex order: the Kronecker product of the rows
-    comb(x_i, a), a < box[i].
+    """Per exponent alpha, in the order given, the values C(x, alpha) =
+    x^(alpha) / alpha! at the points: the product of the rows C(x_i, alpha_i)
+    over the coordinates with alpha_i > 0, each row built once.
     """
-    tables = [
-        [[comb(x, a) for a in range(m)] for x in range(k)]
-        for k, m in zip(grid.arities, box)
-    ]
-    for x in points:
-        values = [1]
-        for table, xi in zip(tables, x):
-            values = [u * w for u in values for w in table[xi]]
-        yield values
+    coordinate_rows: dict[tuple[int, int], list[int]] = {}
+    ones = [1] * len(points)
+    for alpha in exponents:
+        out = ones
+        for i, a in enumerate(alpha):
+            if a:
+                row = coordinate_rows.get((i, a))
+                if row is None:
+                    row = coordinate_rows[i, a] = [comb(x[i], a) for x in points]
+                out = list(map(mul, out, row))
+        yield out
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _binomial_table(grid: UniformGrid) -> list:
+    """The grid's held table, [degree, columns by weight]; degree -1, with
+    empty columns, until _grown_columns grows it."""
+    return [-1, tuple(((),) * size for size in grid.layer_sizes)]
+
+
+def _grown_columns(grid: UniformGrid, d: int) -> _Columns:
+    """The grid's held columns by weight, grown to degree at least d by
+    appending the runs of exponent weights held + 1 .. d, one layer of
+    points at a time, as new tuples: a table a caller holds never changes."""
+    table = _binomial_table(grid)
+    held, layers = table
+    if d > held:
+        exponents = grid.unfold(range(held + 1, d + 1))
+        layers = tuple(
+            tuple(map(add, layer, zip(*binomial_rows(exponents, grid.layer(w)))))
+            for w, layer in enumerate(layers)
+        )
+        table[:] = d, layers
+    return layers
+
+
 def eval_columns(grid: UniformGrid, d: int) -> _Columns:
     """Per weight w, the columns of layer w's points in lex order.
 
     A column holds the point's values under the binomials of weight <= d
     in grid.unfold(range(d + 1)) order, so exponent weight t is a run at
-    offset sum(grid.layer_sizes[:t]), picked from the rows of
-    binomial_rows with box min(d, k_i - 1) + 1.
+    offset sum(grid.layer_sizes[:t]).  The columns are the grid's held
+    table, cut to that length; at the held degree, the table itself.
     """
-    box = [min(d, k - 1) + 1 for k in grid.arities]
-    lex = {alpha: i for i, alpha in enumerate(itertools.product(*map(range, box)))}
-    picks = [lex[alpha] for alpha in grid.unfold(range(d + 1))]
-    out = [[] for _ in grid.layer_sizes]
-    rows = binomial_rows(grid, box, grid.points())
-    for x, values in zip(grid.points(), rows):
-        out[sum(x)].append(tuple(map(values.__getitem__, picks)))
-    return tuple(map(tuple, out))
+    layers = _grown_columns(grid, d)
+    n = sum(grid.layer_sizes[: d + 1])
+    if len(layers[0][0]) == n:
+        return layers
+    return tuple(tuple(v[:n] for v in layer) for layer in layers)
 
 
 def eval_block(
@@ -296,13 +320,13 @@ def eval_block(
 ) -> list[list[int]]:
     """Per point of the unfolded column weight set, its values under the
     binomials of the unfolded row weight set, both in canonical
-    order: each row weight's run, cut from eval_columns(grid, max row weight).
+    order: each row weight's run, cut from the grid's held table.
     """
     rows = check_weight_set(row_weights, grid.max_weight)
     cols = check_weight_set(col_weights, grid.max_weight)
     starts = (0, *itertools.accumulate(grid.layer_sizes))
     runs = [slice(starts[t], starts[t + 1]) for t in rows]
-    layers = eval_columns(grid, max(rows, default=0))
+    layers = _grown_columns(grid, max(rows, default=0))
     return [[e for run in runs for e in v[run]] for w in cols for v in layers[w]]
 
 

@@ -27,7 +27,7 @@ def _lru_caches():
 def test_every_lru_cache_is_bounded():
     caches = dict(_lru_caches())
     names = {name.rsplit(".", 1)[-1] for name in caches}
-    assert {"eval_columns", "_shatter_tables"} <= names
+    assert {"_binomial_table", "_shatter_tables"} <= names
     unbounded = [name for name, fn in caches.items() if fn.cache_info().maxsize is None]
     assert unbounded == []
 

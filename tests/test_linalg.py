@@ -1,7 +1,9 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -17,7 +19,16 @@ from gridhilbert import (
     rank,
     up_matrix,
 )
-from gridhilbert.linalg import Span, binomial_rows, layer_span, subset_sweep
+from gridhilbert.hilbert import rank_oracle_sweep
+from gridhilbert.linalg import (
+    Span,
+    _binomial_table,
+    binomial_rows,
+    eval_block,
+    eval_columns,
+    layer_span,
+    subset_sweep,
+)
 from gridhilbert.verify import verification_family
 
 
@@ -429,25 +440,111 @@ def test_eval_matrix_entries_are_falling_factorial_values():
                 ), (arities, rows, cols)
 
 
+_OFF_FAMILY = [(2, 3, 4, 5), (6, 6, 6), (5, 5, 2), (6, 9), (3, 3, 3, 3)]
+
+
 def test_binomial_table_is_unitriangular_and_its_spans_stay_at_one_bit():
     """C(x, alpha) vanishes unless alpha <= x componentwise, which lex order
-    extends, and C(x, x) = 1; so the full grid's table is lower unitriangular,
-    hence unimodular, and every Bareiss entry of a layer span, a minor of
-    it, is -1, 0 or 1.  Ranks, closures and footprints are invariant under
-    scaling an exponent's entries, so they cannot tell this table from the
-    falling-factorial one; the size of the span's entries can."""
-    off_family = [(2, 3, 4, 5), (6, 6, 6), (5, 5, 2), (6, 9), (3, 3, 3, 3)]
-    grids = [*verification_family(), *map(UniformGrid, off_family)]
+    extends, and C(x, x) = 1; so on the full grid, exponent alpha's row is
+    zero before alpha and 1 at alpha in lex order.  The table is
+    unitriangular, hence unimodular, and every Bareiss entry of a layer
+    span, a minor of it, is -1, 0 or 1.  Ranks, closures and footprints
+    are invariant under scaling an exponent's entries, so they cannot tell
+    this table from the falling-factorial one; the size of the span's
+    entries can."""
+    grids = [*verification_family(), *map(UniformGrid, _OFF_FAMILY)]
     for grid in grids:
-        table = list(binomial_rows(grid, grid.arities, grid.points()))
-        for i, row in enumerate(table):
-            assert row[i] == 1 and not any(row[i + 1 :]), (grid.spec(), i)
+        points = tuple(grid.points())
+        for i, row in enumerate(binomial_rows(points, points)):
+            assert row[i] == 1 and not any(row[:i]), (grid.spec(), i)
         N = grid.max_weight
         for d in range(N + 1):
             span, _ = layer_span(grid, d, range(N + 1))
             assert span.rank == sum(grid.layer_sizes[: d + 1])
             entries = {a for _, row in span._rows for a in row}
             assert entries <= {-1, 0, 1}, (grid.spec(), d, max(map(abs, entries)))
+
+
+def _binomial_reference(grid):
+    """Per weight, each point's C(x, alpha) as a product of math.comb over its
+    coordinates, for every exponent in grid.unfold(range(N + 1)) order."""
+    exponents = grid.unfold(range(grid.max_weight + 1))
+    return [
+        [
+            tuple(prod(map(comb, x, alpha)) for alpha in exponents)
+            for x in grid.layer(w)
+        ]
+        for w in range(grid.max_weight + 1)
+    ]
+
+
+def test_eval_columns_grow_in_any_degree_order():
+    """The held table grows by weight runs; every degree, asked in
+    ascending, descending or shuffled order, reads the reference columns."""
+    rng = random.Random(18)
+    for grid in [*verification_family(), *map(UniformGrid, _OFF_FAMILY)]:
+        reference = _binomial_reference(grid)
+        degrees = list(range(grid.max_weight + 1))
+        for order in (degrees, degrees[::-1], rng.sample(degrees, len(degrees))):
+            _binomial_table.cache_clear()
+            for d in order:
+                n = sum(grid.layer_sizes[: d + 1])
+                want = tuple(tuple(v[:n] for v in layer) for layer in reference)
+                assert eval_columns(grid, d) == want, (grid.spec(), order, d)
+
+
+def test_eval_block_is_the_same_from_a_table_grown_past_its_rows():
+    rng = random.Random(1818)
+    for grid in [*verification_family(), *map(UniformGrid, _OFF_FAMILY)]:
+        N = grid.max_weight
+        for _ in range(4):
+            rows = rng.sample(range(N + 1), rng.randint(1, N + 1))
+            cols = rng.sample(range(N + 1), rng.randint(0, N + 1))
+            _binomial_table.cache_clear()
+            exact = eval_block(grid, rows, cols)
+            eval_columns(grid, N)
+            assert eval_block(grid, rows, cols) == exact, (grid.spec(), rows, cols)
+
+
+def test_growth_leaves_layers_a_caller_holds_as_they_were():
+    """rank_oracle_sweep keeps its layers across its yields, while other
+    calls may grow the same grid's table."""
+    grid = UniformGrid((3, 3, 3, 3))
+    N = grid.max_weight
+    _binomial_table.cache_clear()
+    layers = layer_span(grid, 2)[1]
+    held = [list(layer) for layer in layers]
+    sweep = rank_oracle_sweep(grid, 2)
+    ranks = [next(sweep)]
+    eval_columns(grid, N)
+    eval_block(grid, range(N + 1), range(N + 1))
+    ranks += sweep
+    assert len(layers) == N + 1
+    assert [list(layer) for layer in layers] == held
+    _binomial_table.cache_clear()
+    assert ranks == list(rank_oracle_sweep(grid, 2))
+
+
+def test_held_table_keeps_no_second_copy():
+    """After degrees 3, 6 and 5 on 8,8,8 the grid holds one degree-6 table,
+    not a degree-3 or degree-5 copy beside it.  A full collection empties
+    the interpreter's free lists, which would otherwise count the freed
+    degree-3 columns after the growth, or hand out untraced tuples during it."""
+
+    def held_bytes(degrees):
+        _binomial_table.cache_clear()
+        grid = UniformGrid((8, 8, 8))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for d in degrees:
+                eval_columns(grid, d)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert held_bytes([3, 6, 5]) <= held_bytes([6])
 
 
 def test_up_matrix_frozen_example():

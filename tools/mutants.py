@@ -81,8 +81,8 @@ MUTANTS = (
     Mutant(
         "oracle-drops-degree-d-rows",
         "src/gridhilbert/linalg.py",
-        "picks = [lex[alpha] for alpha in grid.unfold(range(d + 1))]",
-        "picks = [lex[alpha] for alpha in grid.unfold(range(d))]",
+        "exponents = grid.unfold(range(held + 1, d + 1))",
+        "exponents = grid.unfold(range(held + 1, d))",
         ("tests/test_hilbert.py",),
     ),
     Mutant(
@@ -289,8 +289,8 @@ MUTANTS = (
     Mutant(
         "falling-factorials-as-powers",
         "src/gridhilbert/linalg.py",
-        "[[comb(x, a) for a in range(m)] for x in range(k)]",
-        "[[x**a for a in range(m)] for x in range(k)]",
+        "[comb(x[i], a) for x in points]",
+        "[x[i] ** a for x in points]",
         (
             "tests/test_acceptance.py::test_criterion_05_factorization_through_cover_chains",
         ),
@@ -302,8 +302,8 @@ MUTANTS = (
     Mutant(
         "binomials-as-falling-factorials",
         "src/gridhilbert/linalg.py",
-        "[[comb(x, a) for a in range(m)] for x in range(k)]",
-        "[[comb(x, a) * factorial(a) for a in range(m)] for x in range(k)]",
+        "[comb(x[i], a) for x in points]",
+        "[comb(x[i], a) * factorial(a) for x in points]",
         (
             "tests/test_linalg.py::test_binomial_table_is_unitriangular_and_its_spans_stay_at_one_bit",
         ),
@@ -321,9 +321,34 @@ MUTANTS = (
     Mutant(
         "footprint-rows-in-graded-order",
         "src/gridhilbert/shattering.py",
-        "binomial_rows(grid, grid.arities, exponents)",
-        "binomial_rows(grid, grid.arities, sorted(exponents, key=sum))",
+        "zip(*binomial_rows(exponents, exponents))",
+        "zip(*binomial_rows(exponents, sorted(exponents, key=sum)))",
         ("tests/test_sweeps.py",),
+    ),
+    # The held table grows by weight runs: a growth that appends the runs
+    # from exponent 0 again, a lower degree served at the held length and
+    # a growth that keeps the old columns beside the new ones.
+    Mutant(
+        "growth-restarts-from-exponent-zero",
+        "src/gridhilbert/linalg.py",
+        "exponents = grid.unfold(range(held + 1, d + 1))",
+        "exponents = grid.unfold(range(d + 1))",
+        ("tests/test_linalg.py::test_eval_columns_grow_in_any_degree_order",),
+    ),
+    Mutant(
+        "lower-degree-served-uncut",
+        "src/gridhilbert/linalg.py",
+        "    return tuple(tuple(v[:n] for v in layer) for layer in layers)\n",
+        "    return layers\n",
+        ("tests/test_linalg.py::test_eval_columns_grow_in_any_degree_order",),
+    ),
+    Mutant(
+        "growth-keeps-the-old-table",
+        "src/gridhilbert/linalg.py",
+        "        table[:] = d, layers\n",
+        '        vars(_binomial_table).setdefault("kept", []).append(table[1])\n'
+        "        table[:] = d, layers\n",
+        ("tests/test_linalg.py::test_held_table_keeps_no_second_copy",),
     ),
     Mutant(
         "layer-span-sized-below-degree",
