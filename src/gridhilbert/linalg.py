@@ -16,23 +16,27 @@ The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  One builder,
 binomial_rows, makes every evaluation table, in the binomial basis
 C(x, alpha) = x^(alpha) / alpha!, one exponent's row at a time.  Each
-grid holds one table of point columns over the exponents in graded
-order, so a lower degree's table is a prefix of every column: a higher
-degree appends only the new weight runs, and eval_columns cuts a lower
-degree from it.  Scaling each exponent's entries by the nonzero alpha!
-changes no rank, no span membership and no pivot position, so every
-route answers as on the paper's falling factorials and keeps the same
-lex-first exponents.  C(x, alpha) vanishes unless alpha <= x
-componentwise, which lex order extends, and C(x, x) = 1, so the full
-grid's table is unitriangular, hence unimodular, and the Span's
-entries, minors of it, stay small.  Only this module knows the table's
-layout: layer_span returns a Span of chosen layers' columns for the rank
-oracle, its sweep and the closure routes, and eval_block cuts row-weight
-runs from it for rank_block and eval_matrix; eval_matrix scales row
-alpha by alpha!, so the matrix dumps keep falling-factorial entries.
-ExactMatrix holds dense integer matrices with grid-point labels for the
-matrix dumps, the up-rank and factorization suites and the demos; rank
-reports only its rank, from its columns added left to right to a Span.
+grid holds one table of point columns over the exponents in runs of
+descending weight, lex order inside a run, so a lower degree's table is
+a suffix of every column: a higher degree prepends only the new weight
+runs, and eval_columns cuts a lower degree from it.  Scaling each
+exponent's entries by the nonzero alpha! changes no rank, no span
+membership and no pivot position, so every route answers as on the
+paper's falling factorials and keeps the same lex-first exponents.
+C(x, alpha) vanishes unless alpha <= x componentwise, which lex order
+extends, and C(x, x) = 1, so the full grid's table is unitriangular,
+hence unimodular, and the Span's entries, minors of it, stay small.
+Every other alpha <= x has a lower weight than x, so the column of a
+point x with |x| <= d leads with its own diagonal 1, and a Span fed the
+layers in ascending weight pivots each such column there.  Only this
+module knows the table's layout: layer_span returns a Span of chosen
+layers' columns for the rank oracle, its sweep and the closure routes,
+and eval_block cuts row-weight runs from it for rank_block and
+eval_matrix; eval_matrix scales row alpha by alpha!, so the matrix
+dumps keep falling-factorial entries.  ExactMatrix holds dense integer
+matrices with grid-point labels for the matrix dumps, the up-rank and
+factorization suites and the demos; rank reports only its rank, from
+its columns added left to right to a Span.
 """
 from __future__ import annotations
 
@@ -286,14 +290,14 @@ def _binomial_table(grid: UniformGrid) -> list:
 
 def _grown_columns(grid: UniformGrid, d: int) -> _Columns:
     """The grid's held columns by weight, grown to degree at least d by
-    appending the runs of exponent weights held + 1 .. d, one layer of
-    points at a time, as new tuples: a table a caller holds never changes."""
+    prepending the runs of exponent weights d down to held + 1, one layer
+    of points at a time, as new tuples: a table a caller holds never changes."""
     table = _binomial_table(grid)
     held, layers = table
     if d > held:
-        exponents = grid.unfold(range(held + 1, d + 1))
+        exponents = [a for t in range(d, held, -1) for a in grid.layer(t)]
         layers = tuple(
-            tuple(map(add, layer, zip(*binomial_rows(exponents, grid.layer(w)))))
+            tuple(map(add, zip(*binomial_rows(exponents, grid.layer(w))), layer))
             for w, layer in enumerate(layers)
         )
         table[:] = d, layers
@@ -303,16 +307,17 @@ def _grown_columns(grid: UniformGrid, d: int) -> _Columns:
 def eval_columns(grid: UniformGrid, d: int) -> _Columns:
     """Per weight w, the columns of layer w's points in lex order.
 
-    A column holds the point's values under the binomials of weight <= d
-    in grid.unfold(range(d + 1)) order, so exponent weight t is a run at
-    offset sum(grid.layer_sizes[:t]).  The columns are the grid's held
-    table, cut to that length; at the held degree, the table itself.
+    A column holds the point's values under the binomials of weight <= d,
+    in runs of descending exponent weight, lex order inside a run, so
+    exponent weight t is the run that ends sum(grid.layer_sizes[:t])
+    entries before the column's end.  The columns are the grid's held
+    table, cut to that suffix; at the held degree, the table itself.
     """
     layers = _grown_columns(grid, d)
-    n = sum(grid.layer_sizes[: d + 1])
-    if len(layers[0][0]) == n:
+    cut = len(layers[0][0]) - sum(grid.layer_sizes[: d + 1])
+    if not cut:
         return layers
-    return tuple(tuple(v[:n] for v in layer) for layer in layers)
+    return tuple(tuple(v[cut:] for v in layer) for layer in layers)
 
 
 def eval_block(
@@ -320,13 +325,15 @@ def eval_block(
 ) -> list[list[int]]:
     """Per point of the unfolded column weight set, its values under the
     binomials of the unfolded row weight set, both in canonical
-    order: each row weight's run, cut from the grid's held table.
+    order: each row weight's run, cut from the grid's held table at its
+    offset from the columns' end, ascending weights first.
     """
     rows = check_weight_set(row_weights, grid.max_weight)
     cols = check_weight_set(col_weights, grid.max_weight)
-    starts = (0, *itertools.accumulate(grid.layer_sizes))
-    runs = [slice(starts[t], starts[t + 1]) for t in rows]
     layers = _grown_columns(grid, max(rows, default=0))
+    ends = (0, *itertools.accumulate(grid.layer_sizes))
+    n = len(layers[0][0])
+    runs = [slice(n - ends[t + 1], n - ends[t]) for t in rows]
     return [[e for run in runs for e in v[run]] for w in cols for v in layers[w]]
 
 

@@ -465,10 +465,9 @@ def test_binomial_table_is_unitriangular_and_its_spans_stay_at_one_bit():
             assert entries <= {-1, 0, 1}, (grid.spec(), d, max(map(abs, entries)))
 
 
-def _binomial_reference(grid):
+def _binomial_reference(grid, exponents):
     """Per weight, each point's C(x, alpha) as a product of math.comb over its
-    coordinates, for every exponent in grid.unfold(range(N + 1)) order."""
-    exponents = grid.unfold(range(grid.max_weight + 1))
+    coordinates, for every exponent in the order given."""
     return [
         [
             tuple(prod(map(comb, x, alpha)) for alpha in exponents)
@@ -479,18 +478,54 @@ def _binomial_reference(grid):
 
 
 def test_eval_columns_grow_in_any_degree_order():
-    """The held table grows by weight runs; every degree, asked in
-    ascending, descending or shuffled order, reads the reference columns."""
+    """The held table grows by weight runs, prepended; every degree, asked
+    in ascending, descending or shuffled order, reads the reference
+    columns cut to the suffix of the exponents of weight <= d."""
     rng = random.Random(18)
     for grid in [*verification_family(), *map(UniformGrid, _OFF_FAMILY)]:
-        reference = _binomial_reference(grid)
         degrees = list(range(grid.max_weight + 1))
+        exponents = [a for t in reversed(degrees) for a in grid.layer(t)]
+        reference = _binomial_reference(grid, exponents)
         for order in (degrees, degrees[::-1], rng.sample(degrees, len(degrees))):
             _binomial_table.cache_clear()
             for d in order:
-                n = sum(grid.layer_sizes[: d + 1])
-                want = tuple(tuple(v[:n] for v in layer) for layer in reference)
+                cut = len(reference[0][0]) - sum(grid.layer_sizes[: d + 1])
+                want = tuple(tuple(v[cut:] for v in layer) for layer in reference)
                 assert eval_columns(grid, d) == want, (grid.spec(), order, d)
+
+
+def test_layer_columns_lead_with_their_own_exponent():
+    """C(x, alpha) != 0 only when alpha <= x, and every such alpha but x has
+    a lower weight, so in descending weight runs the first nonzero of the
+    column of a point x with |x| <= d is C(x, x) = 1 at x's own exponent."""
+    for grid in [*verification_family(), *map(UniformGrid, _OFF_FAMILY)]:
+        _binomial_table.cache_clear()
+        for d in range(grid.max_weight + 1):
+            exponents = [a for t in range(d, -1, -1) for a in grid.layer(t)]
+            layers = eval_columns(grid, d)
+            for w in range(d + 1):
+                for x, v in zip(grid.layer(w), layers[w]):
+                    lead = next(i for i, e in enumerate(v) if e)
+                    assert (exponents[lead], v[lead]) == (x, 1), (grid.spec(), d, x)
+
+
+def test_eval_block_matches_math_comb_from_a_full_table():
+    """From a table grown to N, each row weight's run is cut at its offset
+    from the columns' end; the block reads in canonical order."""
+    rng = random.Random(19)
+    for grid in map(UniformGrid, _OFF_FAMILY):
+        N = grid.max_weight
+        _binomial_table.cache_clear()
+        eval_columns(grid, N)
+        for _ in range(6):
+            rows = rng.sample(range(N + 1), rng.randint(0, N + 1))
+            cols = rng.sample(range(N + 1), rng.randint(0, N + 1))
+            exponents = grid.unfold(rows)
+            want = [
+                [prod(map(comb, x, alpha)) for alpha in exponents]
+                for x in grid.unfold(cols)
+            ]
+            assert eval_block(grid, rows, cols) == want, (grid.spec(), rows, cols)
 
 
 def test_eval_block_is_the_same_from_a_table_grown_past_its_rows():

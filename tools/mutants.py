@@ -81,8 +81,8 @@ MUTANTS = (
     Mutant(
         "oracle-drops-degree-d-rows",
         "src/gridhilbert/linalg.py",
-        "exponents = grid.unfold(range(held + 1, d + 1))",
-        "exponents = grid.unfold(range(held + 1, d))",
+        "exponents = [a for t in range(d, held, -1) for a in grid.layer(t)]",
+        "exponents = [a for t in range(d - 1, held, -1) for a in grid.layer(t)]",
         ("tests/test_hilbert.py",),
     ),
     Mutant(
@@ -268,15 +268,15 @@ MUTANTS = (
     Mutant(
         "rank-block-runs-one-layer-late",
         "src/gridhilbert/linalg.py",
-        "starts = (0, *itertools.accumulate(grid.layer_sizes))",
-        "starts = tuple(itertools.accumulate(grid.layer_sizes))",
+        "ends = (0, *itertools.accumulate(grid.layer_sizes))",
+        "ends = tuple(itertools.accumulate(grid.layer_sizes))",
         ("tests/test_hilbert.py",),
     ),
     Mutant(
         "eval-matrix-runs-one-layer-late",
         "src/gridhilbert/linalg.py",
-        "starts = (0, *itertools.accumulate(grid.layer_sizes))",
-        "starts = tuple(itertools.accumulate(grid.layer_sizes))",
+        "ends = (0, *itertools.accumulate(grid.layer_sizes))",
+        "ends = tuple(itertools.accumulate(grid.layer_sizes))",
         ("tests/test_linalg.py",),
     ),
     Mutant(
@@ -325,22 +325,38 @@ MUTANTS = (
         "zip(*binomial_rows(exponents, sorted(exponents, key=sum)))",
         ("tests/test_sweeps.py",),
     ),
-    # The held table grows by weight runs: a growth that appends the runs
-    # from exponent 0 again, a lower degree served at the held length and
+    # The held table grows by descending weight runs, prepended: a growth
+    # that prepends the runs down to exponent 0 again, a lower degree
+    # served at the held length, a growth that appends the runs in place
+    # of prepending them, block runs counted from the columns' front and
     # a growth that keeps the old columns beside the new ones.
     Mutant(
         "growth-restarts-from-exponent-zero",
         "src/gridhilbert/linalg.py",
-        "exponents = grid.unfold(range(held + 1, d + 1))",
-        "exponents = grid.unfold(range(d + 1))",
+        "exponents = [a for t in range(d, held, -1) for a in grid.layer(t)]",
+        "exponents = [a for t in range(d, -1, -1) for a in grid.layer(t)]",
         ("tests/test_linalg.py::test_eval_columns_grow_in_any_degree_order",),
     ),
     Mutant(
         "lower-degree-served-uncut",
         "src/gridhilbert/linalg.py",
-        "    return tuple(tuple(v[:n] for v in layer) for layer in layers)\n",
+        "    return tuple(tuple(v[cut:] for v in layer) for layer in layers)\n",
         "    return layers\n",
         ("tests/test_linalg.py::test_eval_columns_grow_in_any_degree_order",),
+    ),
+    Mutant(
+        "table-in-ascending-runs",
+        "src/gridhilbert/linalg.py",
+        "tuple(map(add, zip(*binomial_rows(exponents, grid.layer(w))), layer))",
+        "tuple(map(add, layer, zip(*binomial_rows(exponents, grid.layer(w)))))",
+        ("tests/test_linalg.py::test_layer_columns_lead_with_their_own_exponent",),
+    ),
+    Mutant(
+        "block-runs-counted-from-the-front",
+        "src/gridhilbert/linalg.py",
+        "runs = [slice(n - ends[t + 1], n - ends[t]) for t in rows]",
+        "runs = [slice(ends[t], ends[t + 1]) for t in rows]",
+        ("tests/test_linalg.py::test_eval_block_matches_math_comb_from_a_full_table",),
     ),
     Mutant(
         "growth-keeps-the-old-table",
