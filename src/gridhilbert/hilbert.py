@@ -13,8 +13,8 @@ the falling factorials, and exists so the closed form is checkable
 instance by instance.  Its sweep form
 answers every weight set of one grid and degree in mask order, sharing
 each set's prefix on one Span (linalg.subset_sweep).  rank_block ranks
-the columns that linalg.eval_block cuts from the same table, so no
-layout is known here.
+the rows that linalg.binomial_rows builds for its own exponents and
+points, so no table layout is known here.
 """
 
 from __future__ import annotations
@@ -149,9 +149,8 @@ def rank_block(
     grid: UniformGrid, row_weights: Iterable[int], col_weights: Iterable[int]
 ) -> int:
     """Exact rank of the evaluation matrix between two weight-determined sets."""
-    columns = linalg.eval_block(grid, row_weights, col_weights)
-    span = linalg.Span(len(columns[0]) if columns else 0)
-    return len(span.extend(columns))
+    rows, cols = grid.unfold(row_weights), grid.unfold(col_weights)
+    return len(linalg.Span(len(cols)).extend(linalg.binomial_rows(rows, cols)))
 
 
 def cube(n: int) -> UniformGrid:

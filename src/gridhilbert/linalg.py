@@ -2,16 +2,17 @@
 
 Every exact rank question of the package goes through Span, an
 incremental fraction-free (Bareiss) span of integer vectors: the rank
-oracle and the block ranks add evaluation columns to it, the closure
-routes ask whether a column lies in it, and the footprint scan keeps
-the monomial columns that enlarge it.  Nothing here ever rounds.  A
-Bareiss step writes only the stored row's nonzero positions; every other
-entry is only rescaled, and the scale is applied once, when add stores
-the row, so a step costs the row's nonzeros, not the vector's length.  A
-stored row depends only on the rows before it, so Span.truncate(r)
-leaves exactly the span of the first r stored rows; subset_sweep uses
-that to visit every union of a list of blocks in increasing mask order
-with about two span operations per mask instead of a fresh elimination.
+oracle adds evaluation columns to it and the block ranks exponent rows,
+the closure routes ask whether a column lies in it, and the footprint
+scan keeps the monomial columns that enlarge it.  Nothing here ever
+rounds.  A Bareiss step writes only the stored row's nonzero positions;
+every other entry is only rescaled, and the scale is applied once, when
+add stores the row, so a step costs the row's nonzeros, not the
+vector's length.  A stored row depends only on the rows before it, so
+Span.truncate(r) leaves exactly the span of the first r stored rows;
+subset_sweep uses that to visit every union of a list of blocks in
+increasing mask order with about two span operations per mask instead
+of a fresh elimination.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  One builder,
 binomial_rows, makes every evaluation table, in the binomial basis
@@ -28,19 +29,19 @@ extends, and C(x, x) = 1, so the full grid's table is unitriangular,
 hence unimodular, and the Span's entries, minors of it, stay small.
 Every other alpha <= x has a lower weight than x, so the column of a
 point x with |x| <= d leads with its own diagonal 1, and a Span fed the
-layers in ascending weight pivots each such column there.  Only this
-module knows the table's layout: layer_span returns a Span of chosen
-layers' columns for the rank oracle, its sweep and the closure routes,
-and eval_block cuts row-weight runs from it for rank_block and
-eval_matrix; eval_matrix scales row alpha by alpha!, so the matrix
-dumps keep falling-factorial entries.  ExactMatrix holds dense integer
-matrices with grid-point labels for the matrix dumps, the up-rank and
-factorization suites and the demos; rank reports only its rank, from
-its columns added left to right to a Span.
+layers in ascending weight pivots each such column there.  The held
+table has one reader, eval_columns, which alone knows its layout, and
+layer_span returns a Span of chosen layers' columns from it for the rank
+oracle, its sweep and the closure routes.  eval_matrix and
+hilbert.rank_block call binomial_rows on their own exponents and points,
+as the footprint routes do; eval_matrix scales row alpha by alpha!, so
+the matrix dumps keep falling-factorial entries.  ExactMatrix holds
+dense integer matrices with grid-point labels for the matrix dumps, the
+up-rank and factorization suites and the demos; rank reports only its
+rank, from its columns added left to right to a Span.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -284,14 +285,21 @@ def binomial_rows(
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _binomial_table(grid: UniformGrid) -> list:
     """The grid's held table, [degree, columns by weight]; degree -1, with
-    empty columns, until _grown_columns grows it."""
+    empty columns, until eval_columns grows it."""
     return [-1, tuple(((),) * size for size in grid.layer_sizes)]
 
 
-def _grown_columns(grid: UniformGrid, d: int) -> _Columns:
-    """The grid's held columns by weight, grown to degree at least d by
-    prepending the runs of exponent weights d down to held + 1, one layer
-    of points at a time, as new tuples: a table a caller holds never changes."""
+def eval_columns(grid: UniformGrid, d: int) -> _Columns:
+    """Per weight w, the columns of layer w's points in lex order.
+
+    A column holds the point's values under the binomials of weight <= d,
+    in runs of descending exponent weight, lex order inside a run.  The
+    grid's held table is first grown to degree at least d by prepending
+    the runs of exponent weights d down to held + 1, one layer of points
+    at a time, as new tuples: a table a caller holds never changes.  The
+    columns are the held table cut to its last sum(grid.layer_sizes[:d+1])
+    entries; at the held degree, the table itself.
+    """
     table = _binomial_table(grid)
     held, layers = table
     if d > held:
@@ -301,40 +309,10 @@ def _grown_columns(grid: UniformGrid, d: int) -> _Columns:
             for w, layer in enumerate(layers)
         )
         table[:] = d, layers
-    return layers
-
-
-def eval_columns(grid: UniformGrid, d: int) -> _Columns:
-    """Per weight w, the columns of layer w's points in lex order.
-
-    A column holds the point's values under the binomials of weight <= d,
-    in runs of descending exponent weight, lex order inside a run, so
-    exponent weight t is the run that ends sum(grid.layer_sizes[:t])
-    entries before the column's end.  The columns are the grid's held
-    table, cut to that suffix; at the held degree, the table itself.
-    """
-    layers = _grown_columns(grid, d)
     cut = len(layers[0][0]) - sum(grid.layer_sizes[: d + 1])
     if not cut:
         return layers
     return tuple(tuple(v[cut:] for v in layer) for layer in layers)
-
-
-def eval_block(
-    grid: UniformGrid, row_weights: Iterable[int], col_weights: Iterable[int]
-) -> list[list[int]]:
-    """Per point of the unfolded column weight set, its values under the
-    binomials of the unfolded row weight set, both in canonical
-    order: each row weight's run, cut from the grid's held table at its
-    offset from the columns' end, ascending weights first.
-    """
-    rows = check_weight_set(row_weights, grid.max_weight)
-    cols = check_weight_set(col_weights, grid.max_weight)
-    layers = _grown_columns(grid, max(rows, default=0))
-    ends = (0, *itertools.accumulate(grid.layer_sizes))
-    n = len(layers[0][0])
-    runs = [slice(n - ends[t + 1], n - ends[t]) for t in rows]
-    return [[e for run in runs for e in v[run]] for w in cols for v in layers[w]]
 
 
 def layer_span(
@@ -360,18 +338,15 @@ def eval_matrix(
 
     Rows are the exponents of the unfolded row weight set, columns the
     points of the unfolded column weight set, both in canonical order.
-    Entry (alpha, x) is the falling factorial x^(alpha): eval_block's
-    binomial C(x, alpha) with row alpha scaled by alpha!.
+    Entry (alpha, x) is the falling factorial x^(alpha): the binomial
+    C(x, alpha) of binomial_rows with row alpha scaled by alpha!.
     """
-    row_weights, col_weights = tuple(row_weights), tuple(col_weights)
-    block = eval_block(grid, row_weights, col_weights)
-    rows = grid.unfold(row_weights)
-    entries = tuple(zip(*block)) if block else ((),) * len(rows)
+    rows, cols = grid.unfold(row_weights), grid.unfold(col_weights)
     entries = tuple(
         tuple(prod(map(factorial, alpha)) * e for e in row)
-        for alpha, row in zip(rows, entries)
+        for alpha, row in zip(rows, binomial_rows(rows, cols))
     )
-    return ExactMatrix(rows, grid.unfold(col_weights), entries)
+    return ExactMatrix(rows, cols, entries)
 
 
 def up_matrix(grid: UniformGrid, d: int) -> ExactMatrix:

@@ -151,8 +151,11 @@ def shattering_sweep(grid: UniformGrid) -> Iterator[int]:
     in lex order.  The answers fill one table sh[S] in increasing mask
     order.  Each cut of _shatters splits a group of S into a nonempty
     upper and lower part, both proper submasks of S, so both recursive
-    calls become bit tests on entries already filled.  Grids of more than
-    16 points are refused: the table has 2^|grid| entries of 16 bits.
+    calls become bit tests on entries already filled.  The cut loop is
+    _shatters' own, inlined: a generator of splits shared by the two gave
+    the same answers but made the 4,4 sweep 1.4 to 2.4 times as slow.
+    Grids of more than 16 points are refused: the table has 2^|grid|
+    entries of 16 bits.
     """
     n = grid.size
     if n > 16:

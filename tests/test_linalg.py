@@ -17,6 +17,7 @@ from gridhilbert import (
     factorial_diag,
     falling_factorial_value,
     rank,
+    rank_block,
     up_matrix,
 )
 from gridhilbert.hilbert import rank_oracle_sweep
@@ -24,7 +25,6 @@ from gridhilbert.linalg import (
     Span,
     _binomial_table,
     binomial_rows,
-    eval_block,
     eval_columns,
     layer_span,
     subset_sweep,
@@ -509,36 +509,28 @@ def test_layer_columns_lead_with_their_own_exponent():
                     assert (exponents[lead], v[lead]) == (x, 1), (grid.spec(), d, x)
 
 
-def test_eval_block_matches_math_comb_from_a_full_table():
-    """From a table grown to N, each row weight's run is cut at its offset
-    from the columns' end; the block reads in canonical order."""
+def test_eval_matrix_and_rank_block_off_the_family():
+    """eval_matrix reads alpha! C(x, alpha) in canonical order, and
+    rank_block, which feeds the exponent rows to its Span, agrees with
+    rank, which feeds the matrix's columns; empty weight sets included."""
     rng = random.Random(19)
     for grid in map(UniformGrid, _OFF_FAMILY):
         N = grid.max_weight
-        _binomial_table.cache_clear()
-        eval_columns(grid, N)
         for _ in range(6):
             rows = rng.sample(range(N + 1), rng.randint(0, N + 1))
             cols = rng.sample(range(N + 1), rng.randint(0, N + 1))
-            exponents = grid.unfold(rows)
-            want = [
-                [prod(map(comb, x, alpha)) for alpha in exponents]
-                for x in grid.unfold(cols)
-            ]
-            assert eval_block(grid, rows, cols) == want, (grid.spec(), rows, cols)
-
-
-def test_eval_block_is_the_same_from_a_table_grown_past_its_rows():
-    rng = random.Random(1818)
-    for grid in [*verification_family(), *map(UniformGrid, _OFF_FAMILY)]:
-        N = grid.max_weight
-        for _ in range(4):
-            rows = rng.sample(range(N + 1), rng.randint(1, N + 1))
-            cols = rng.sample(range(N + 1), rng.randint(0, N + 1))
-            _binomial_table.cache_clear()
-            exact = eval_block(grid, rows, cols)
-            eval_columns(grid, N)
-            assert eval_block(grid, rows, cols) == exact, (grid.spec(), rows, cols)
+            exponents, points = grid.unfold(rows), grid.unfold(cols)
+            want = tuple(
+                tuple(
+                    prod(map(factorial, alpha)) * prod(map(comb, x, alpha))
+                    for x in points
+                )
+                for alpha in exponents
+            )
+            m = eval_matrix(grid, rows, cols)
+            assert (m.row_labels, m.col_labels) == (exponents, points)
+            assert m.entries == want, (grid.spec(), rows, cols)
+            assert rank_block(grid, rows, cols) == rank(m).rank, (grid.spec(), rows, cols)
 
 
 def test_growth_leaves_layers_a_caller_holds_as_they_were():
@@ -552,7 +544,6 @@ def test_growth_leaves_layers_a_caller_holds_as_they_were():
     sweep = rank_oracle_sweep(grid, 2)
     ranks = [next(sweep)]
     eval_columns(grid, N)
-    eval_block(grid, range(N + 1), range(N + 1))
     ranks += sweep
     assert len(layers) == N + 1
     assert [list(layer) for layer in layers] == held

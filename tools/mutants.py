@@ -265,26 +265,36 @@ MUTANTS = (
         'points.append(tuple(int(t) for t in chunk.split(",")))',
         ("tests/test_cli.py",),
     ),
+    # rank_block and eval_matrix build their blocks with binomial_rows:
+    # exponents and points swapped, the exponent rows in reverse order, and
+    # each row scaled by a column point's factorial.
     Mutant(
-        "rank-block-runs-one-layer-late",
-        "src/gridhilbert/linalg.py",
-        "ends = (0, *itertools.accumulate(grid.layer_sizes))",
-        "ends = tuple(itertools.accumulate(grid.layer_sizes))",
+        "rank-block-swaps-exponents-and-points",
+        "src/gridhilbert/hilbert.py",
+        "linalg.Span(len(cols)).extend(linalg.binomial_rows(rows, cols))",
+        "linalg.Span(len(rows)).extend(linalg.binomial_rows(cols, rows))",
         ("tests/test_hilbert.py",),
     ),
     Mutant(
-        "eval-matrix-runs-one-layer-late",
+        "eval-matrix-swaps-exponents-and-points",
         "src/gridhilbert/linalg.py",
-        "ends = (0, *itertools.accumulate(grid.layer_sizes))",
-        "ends = tuple(itertools.accumulate(grid.layer_sizes))",
+        "zip(rows, binomial_rows(rows, cols))",
+        "zip(rows, zip(*binomial_rows(cols, rows)))",
         ("tests/test_linalg.py",),
     ),
     Mutant(
-        "eval-matrix-transposed",
+        "eval-matrix-rows-in-reverse-order",
         "src/gridhilbert/linalg.py",
-        "entries = tuple(zip(*block)) if block else ((),) * len(rows)",
-        "entries = tuple(map(tuple, block)) if block else ((),) * len(rows)",
-        ("tests/test_linalg.py",),
+        "zip(rows, binomial_rows(rows, cols))",
+        "zip(rows, binomial_rows(rows[::-1], cols))",
+        ("tests/test_linalg.py::test_eval_matrix_and_rank_block_off_the_family",),
+    ),
+    Mutant(
+        "eval-matrix-scales-by-column-points",
+        "src/gridhilbert/linalg.py",
+        "for alpha, row in zip(rows, binomial_rows(rows, cols))",
+        "for alpha, row in zip(cols, binomial_rows(rows, cols))",
+        ("tests/test_linalg.py::test_eval_matrix_and_rank_block_off_the_family",),
     ),
     Mutant(
         "falling-factorials-as-powers",
@@ -328,8 +338,8 @@ MUTANTS = (
     # The held table grows by descending weight runs, prepended: a growth
     # that prepends the runs down to exponent 0 again, a lower degree
     # served at the held length, a growth that appends the runs in place
-    # of prepending them, block runs counted from the columns' front and
-    # a growth that keeps the old columns beside the new ones.
+    # of prepending them and a growth that keeps the old columns beside
+    # the new ones.
     Mutant(
         "growth-restarts-from-exponent-zero",
         "src/gridhilbert/linalg.py",
@@ -350,13 +360,6 @@ MUTANTS = (
         "tuple(map(add, zip(*binomial_rows(exponents, grid.layer(w))), layer))",
         "tuple(map(add, layer, zip(*binomial_rows(exponents, grid.layer(w)))))",
         ("tests/test_linalg.py::test_layer_columns_lead_with_their_own_exponent",),
-    ),
-    Mutant(
-        "block-runs-counted-from-the-front",
-        "src/gridhilbert/linalg.py",
-        "runs = [slice(n - ends[t + 1], n - ends[t]) for t in rows]",
-        "runs = [slice(ends[t], ends[t + 1]) for t in rows]",
-        ("tests/test_linalg.py::test_eval_block_matches_math_comb_from_a_full_table",),
     ),
     Mutant(
         "growth-keeps-the-old-table",
