@@ -7,12 +7,15 @@ the closure routes ask whether a column lies in it, and the footprint
 scan keeps the monomial columns that enlarge it.  Nothing here ever
 rounds.  A Bareiss step writes only the stored row's nonzero positions;
 every other entry is only rescaled, and the scale is applied once, when
-add stores the row, so a step costs the row's nonzeros, not the
+the row is stored, so a step costs the row's nonzeros, not the
 vector's length.  A stored row depends only on the rows before it, so
 Span.truncate(r) leaves exactly the span of the first r stored rows;
 subset_sweep uses that to visit every union of a list of blocks in
 increasing mask order with about two span operations per mask instead
-of a fresh elimination.
+of a fresh elimination.  A reduction can be resumed from any stored row,
+and storing a reduced vector is a method of its own, so
+shattering.footprint_sweep keeps point rows reduced ahead on the same
+kernel, one Bareiss step per pending row and mask.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  One builder,
 binomial_rows, makes every evaluation table, in the binomial basis
@@ -146,13 +149,14 @@ class Span:
     pivot positions, and by Sylvester's identity each division is exact.
 
     A step writes only the row's support, its nonzero positions from c on,
-    which add records beside the row, and only when v[c] != 0: at every
+    which _store records beside the row, and only when v[c] != 0: at every
     other entry the update multiplies by p / prev, and these factors
     telescope.  So _reduce keeps, per entry, the pivot entry q at which it
     was last written (1 if never), and the entry's current value is
-    v[i] * prev // q, exact because that value is a minor.  Only add needs
-    the values; membership needs only whether every entry is zero, which
-    no rescaling changes.
+    v[i] * prev // q, exact because that value is a minor.  Only _store
+    needs the values; membership needs only whether every entry is zero,
+    which no rescaling changes.  add is _reduce then _store, and
+    membership _reduce then a zero test.
     """
 
     __slots__ = ("length", "_rows", "_supports")
@@ -166,22 +170,23 @@ class Span:
     def rank(self) -> int:
         return len(self._rows)
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        """Pivot positions of the stored rows, in the order they were added."""
-        return tuple(c for c, _ in self._rows)
-
     def _check_length(self, v: Sequence[int]) -> None:
         if len(v) != self.length:
             raise LengthMismatch(f"vector length {len(v)} != span length {self.length}")
 
-    def _reduce(self, v: Sequence[int]) -> tuple[list[int], list[int], int]:
-        """v reduced by every stored row, as entries, the pivot entry at
-        which each was last written, and the last row's pivot entry."""
-        v = list(v)
-        scale = [1] * len(v)
-        prev = 1
-        for (c, row), support in zip(self._rows, self._supports):
+    def _reduce(
+        self, v: list[int], scale: list[int], prev: int = 1, start: int = 0
+    ) -> int:
+        """Reduce v in place by the stored rows from start on; the last
+        row's pivot entry.
+
+        v and scale are the entries and the pivot entry at which each was
+        last written, and prev the pivot entry of the row before start, as
+        a call that stopped there left them, so a reduction can be resumed
+        when more rows are stored: a fresh vector starts with scale all 1,
+        prev 1 and start 0.
+        """
+        for (c, row), support in zip(self._rows[start:], self._supports[start:]):
             p = row[c]
             f = v[c]
             if f:
@@ -190,7 +195,18 @@ class Span:
                     v[i] = (p * (v[i] * prev // scale[i]) - f * row[i]) // prev
                     scale[i] = p
             prev = p
-        return v, scale, prev
+        return prev
+
+    def _store(self, v: Sequence[int], scale: Sequence[int], prev: int) -> int | None:
+        """Store v, reduced by every stored row as _reduce leaves it; its
+        pivot position, or None when v is zero."""
+        support = [i for i, a in enumerate(v) if a]
+        if not support:
+            return None
+        c = support[0]
+        self._rows.append((c, [x * prev // q for x, q in zip(v, scale)]))
+        self._supports.append(support)
+        return c
 
     def add(self, v: Sequence[int]) -> int | None:
         """Store v; its pivot position, or None when v is already in the span.
@@ -199,18 +215,17 @@ class Span:
         returns None.
         """
         self._check_length(v)
-        v, scale, prev = self._reduce(v)
-        for c, a in enumerate(v):
-            if a:
-                row = [x * prev // q for x, q in zip(v, scale)]
-                self._rows.append((c, row))
-                self._supports.append([i for i in range(c, self.length) if row[i]])
-                return c
-        return None
+        v = list(v)
+        scale = [1] * len(v)
+        return self._store(v, scale, self._reduce(v, scale))
 
     def __contains__(self, v: Sequence[int]) -> bool:
         self._check_length(v)
-        return len(self._rows) == self.length or not any(self._reduce(v)[0])
+        if len(self._rows) == self.length:
+            return True
+        v = list(v)
+        self._reduce(v, [1] * len(v))
+        return not any(v)
 
     def extend(self, vectors: Iterable[Sequence[int]]) -> list[int]:
         """Add vectors in order until the span is full; the positions kept."""

@@ -38,9 +38,11 @@ same column space in either basis, and dividing each column by the
 nonzero alpha! changes no span.  The footprint sweep
 gives the same sets, as masks, for every point set of a grid in mask
 order by plain linear algebra: each point adds its row of all grid
-binomials to one Span, prefixes are shared
-(linalg.subset_sweep), and the row pivots, the lex-first column basis,
-are the standard monomials.  The two routes coincide on every set of
+binomials to one Span, and the row pivots, the lex-first column basis,
+are the standard monomials.  It walks the sets as an elimination tree:
+a set's stack level holds the rows of the points below its lowest one
+already reduced by its own rows, so a set costs one stored row and one
+Bareiss step per row held.  The two routes coincide on every set of
 grid points, and that equality is part of the verification surface of
 this package rather than an assumption of the code.
 """
@@ -54,7 +56,7 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyMultiset, GridTooLarge
 from .grid import Point, UniformGrid
-from .linalg import _GRID_CACHE_SIZE, Span, binomial_rows, subset_sweep
+from .linalg import _GRID_CACHE_SIZE, Span, binomial_rows
 
 
 def tau(b: Iterable[int]) -> int:
@@ -209,13 +211,37 @@ def footprint_sweep(grid: UniformGrid) -> Iterator[int]:
     order.  Bit i of a mask, both of A's and of the answer, is the i-th
     grid point in lex order.
 
-    Each point of A adds its full binomial row to one Span (the
-    prefix of each set is shared, linalg.subset_sweep).  The pivot
-    positions of a Span fed the rows of a matrix form its lex-first column
-    basis, so they are the monomials the column scan keeps.
+    Each point of A adds its full binomial row to one Span, whose pivot
+    positions, the lex-first column basis, are the monomials the column
+    scan keeps.  The sets form an elimination tree: a stack of levels, one
+    per point of A, highest at the bottom, popped and pushed as in
+    linalg.subset_sweep.  A level holds its rank, its answer and, per point
+    below its lowest one, that point's row reduced by the level's stored
+    rows, as Span._reduce leaves it.  Mask m with lowest bit b stores point
+    b's pending row on the parent level, adds its pivot to the parent's
+    answer and resumes a copy of each lower pending row by that one row;
+    the parent keeps its copies for m's siblings.  Each row gets the steps
+    Span.add would apply, in order, so the rows, pivots and answers are a
+    fresh Span's.  subset_sweep holds no rows ahead: a layer block can fill
+    its span, and extend then stops, so they would mostly be wasted.  Here
+    none is: the full grid's table is unitriangular, so point rows are
+    independent and every one is stored.
     """
     exponents = tuple(grid.points())
-    span = Span(len(exponents))
-    blocks = [[row] for row in zip(*binomial_rows(exponents, exponents))]
-    for _ in subset_sweep(span, blocks):
-        yield sum(1 << c for c in span.pivots)
+    n = len(exponents)
+    span = Span(n)
+    rows = zip(*binomial_rows(exponents, exponents))
+    stack = [(0, 0, [(list(row), [1] * n, 1) for row in rows])]
+    yield 0
+    for mask in range(1, 1 << n):
+        b = (mask & -mask).bit_length() - 1
+        del stack[len(stack) - b :]
+        rank, answer, pending = stack[-1]
+        span.truncate(rank)
+        answer |= 1 << span._store(*pending[b])
+        lower = []
+        for v, scale, prev in pending[:b]:
+            v, scale = v[:], scale[:]
+            lower.append((v, scale, span._reduce(v, scale, prev, rank)))
+        stack.append((rank + 1, answer, lower))
+        yield answer

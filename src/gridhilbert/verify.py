@@ -23,7 +23,9 @@ those ranks; closure-laws holds its grid's tables, one per degree and
 indexed by mask, for the grid's checks only.  Shattering compares
 ord_str with standard_monomials: on grids of at most 16 points through
 their sweeps, shattering_sweep and footprint_sweep, which answer every
-point set in mask order as an integer mask; on grids of 17 to 27 points
+point set in mask order as an integer mask, the footprint side from an
+elimination tree whose levels also hold the lower points' rows already
+reduced; on grids of 17 to 27 points
 one call each per seeded point set, compared as the point sets they
 return.  Either way the counts and first counterexample are the routes'.
 """

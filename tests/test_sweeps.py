@@ -6,9 +6,12 @@ grid; mask bit j is weight j, or the j-th grid point in lex order, and
 the point-set sweeps answer with masks of grid points too.  zstar_sweep
 reads its closures off the ranks and zstar_closure tests span
 membership, so that pair compares two exact criteria.  A mismatch is
-reported with its grid, degree and set.
+reported with its grid, degree and set.  The sweeps' memory is bounded
+too: the shattering sweep refuses a large grid before allocating, and
+the footprint sweep keeps nothing per mask.
 """
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -91,3 +94,17 @@ def test_shattering_sweep_refuses_more_than_16_points_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_footprint_sweep_of_16_points_peaks_below_256_kb():
+    """The elimination tree holds one level per point of the set, each
+    with the pending rows of the points below it, and nothing per mask."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in footprint_sweep(UniformGrid((4, 4))):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10

@@ -95,8 +95,8 @@ MUTANTS = (
     Mutant(
         "bareiss-drops-final-rescale",
         "src/gridhilbert/linalg.py",
-        "row = [x * prev // q for x, q in zip(v, scale)]",
-        "row = v",
+        "(c, [x * prev // q for x, q in zip(v, scale)])",
+        "(c, v)",
         ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
     ),
     Mutant(
@@ -154,19 +154,36 @@ MUTANTS = (
         "length-check-after-full-return",
         "src/gridhilbert/linalg.py",
         "        self._check_length(v)\n"
-        "        return len(self._rows) == self.length or not any(self._reduce(v)[0])\n",
+        "        if len(self._rows) == self.length:\n"
+        "            return True\n",
         "        if len(self._rows) == self.length:\n"
         "            return True\n"
-        "        self._check_length(v)\n"
-        "        return not any(self._reduce(v)[0])\n",
+        "        self._check_length(v)\n",
         ("tests/test_linalg.py",),
     ),
     Mutant(
         "footprint-drops-first-pivot",
         "src/gridhilbert/shattering.py",
-        "yield sum(1 << c for c in span.pivots)",
-        "yield sum(1 << c for c in span.pivots[1:])",
+        "answer |= 1 << span._store(*pending[b])",
+        "answer |= bool(rank) << span._store(*pending[b])",
         ("tests/test_sweeps.py",),
+    ),
+    # The footprint sweep's elimination tree: a lower point's pending row
+    # left unreduced by the new row, and an answer not inherited from the
+    # parent level.
+    Mutant(
+        "footprint-lower-rows-not-reduced",
+        "src/gridhilbert/shattering.py",
+        "lower.append((v, scale, span._reduce(v, scale, prev, rank)))",
+        "lower.append((v, scale, prev))",
+        ("tests/test_fibre_recursion.py::test_footprint_sweep_matches_the_fibre_recursion",),
+    ),
+    Mutant(
+        "footprint-answer-not-inherited",
+        "src/gridhilbert/shattering.py",
+        "answer |= 1 << span._store(*pending[b])",
+        "answer = 1 << span._store(*pending[b])",
+        ("tests/test_fibre_recursion.py::test_footprint_sweep_matches_the_fibre_recursion",),
     ),
     Mutant(
         "shattering-sweep-reads-group",
