@@ -69,7 +69,7 @@ def hilbert_layer(grid: UniformGrid, d: int, w: int) -> int:
     2 and the display is min(1, 2) = 1.
     """
     sizes = grid.layer_sizes
-    return min(sizes[grid.check_weight(d)], sizes[grid.check_weight(w)])
+    return min(sizes[check_degree(d, grid.max_weight)], sizes[grid.check_weight(w)])
 
 
 def hilbert_closed(grid: UniformGrid, d: int, E: Iterable[int]) -> int:

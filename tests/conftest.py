@@ -1,4 +1,35 @@
+import functools
+import itertools
+import math
 import sys
+
+from gridhilbert import verification_family
+
+FAMILY = frozenset(grid.arities for grid in verification_family())
+
+
+@functools.cache
+def off_family(max_points, max_arity, reorderings):
+    """Every arity tuple with arities 2 to max_arity and at most max_points
+    points that is not a grid of verification_family(), in (dimension, lex)
+    order.  The family holds one sorted representative per multiset of
+    arities; with reorderings False, every reordering of a family grid is
+    dropped too.  Every arity is at least 2, so max_points bounds the
+    dimension.  The tuple is built once per argument triple, since
+    Hypothesis strategies call for it on every draw."""
+    grids = []
+    for dim in itertools.count(1):
+        if 2**dim > max_points:
+            return tuple(grids)
+        for arities in itertools.product(range(2, max_arity + 1), repeat=dim):
+            key = arities if reorderings else tuple(sorted(arities))
+            if math.prod(arities) <= max_points and key not in FAMILY:
+                grids.append(arities)
+
+
+def mask_points(pts, mask):
+    """The points pts[i] for the set bits i of mask, in the order of pts."""
+    return [p for i, p in enumerate(pts) if mask >> i & 1]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -23,6 +23,8 @@ value order.
 import random
 from collections import Counter
 
+from conftest import mask_points
+
 from gridhilbert import UniformGrid, ord_str, standard_monomials
 from gridhilbert.shattering import footprint_sweep
 
@@ -42,10 +44,6 @@ def _fibre_footprint(A):
     }
 
 
-def _points(pts, mask):
-    return [p for i, p in enumerate(pts) if mask >> i & 1]
-
-
 def test_fibre_recursion_small_cases():
     assert _fibre_footprint([]) == set()
     assert _fibre_footprint([()]) == {()}
@@ -61,27 +59,29 @@ def test_footprint_sweep_matches_the_fibre_recursion():
         grid = UniformGrid(arities)
         pts = list(grid.points())
         for mask, answer in enumerate(footprint_sweep(grid)):
-            assert set(_points(pts, answer)) == _fibre_footprint(_points(pts, mask)), (
-                arities,
-                mask,
-            )
+            A = mask_points(pts, mask)
+            assert set(mask_points(pts, answer)) == _fibre_footprint(A), (arities, A)
     grid = UniformGrid((2, 8))
     pts = list(grid.points())
     sample = set(random.Random(2021).sample(range(1 << len(pts)), 2000))
     for mask, answer in enumerate(footprint_sweep(grid)):
         if mask in sample:
-            assert set(_points(pts, answer)) == _fibre_footprint(_points(pts, mask)), mask
+            A = mask_points(pts, mask)
+            assert set(mask_points(pts, answer)) == _fibre_footprint(A), A
 
 
 def test_standard_monomials_match_the_fibre_recursion_on_larger_sets():
-    """Seeded sets of up to 64 points, on grids up to 8,8,8."""
+    """Both footprint routes, on seeded sets of up to 64 points, on grids up
+    to 8,8,8."""
     rng = random.Random(1995)
     for arities in [(6, 7), (2, 5, 7), (8, 8, 8), (3, 3, 3, 3)]:
         grid = UniformGrid(arities)
         pts = list(grid.points())
         for _ in range(8):
             A = rng.sample(pts, rng.randint(0, min(64, len(pts))))
-            assert set(standard_monomials(grid, A)) == _fibre_footprint(A), (arities, A)
+            footprint = _fibre_footprint(A)
+            assert set(standard_monomials(grid, A)) == footprint, (arities, A)
+            assert set(ord_str(grid, A)) == footprint, (arities, A)
 
 
 def test_footprint_and_shattering_ignore_the_order_of_each_coordinates_values():

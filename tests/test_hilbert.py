@@ -6,11 +6,13 @@ live in the verification suites.
 """
 
 import itertools
-import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import off_family
 
 from gridhilbert import (
     DegreeOutOfRange,
@@ -29,7 +31,6 @@ from gridhilbert import (
     is_interval_compatible,
     l_bar,
     rank_block,
-    verification_family,
     zstar_closure,
 )
 
@@ -146,6 +147,10 @@ def test_bad_arguments():
         hilbert_closed(grid, -1, (1,))
     with pytest.raises(WeightOutOfRange):
         hilbert_closed(grid, 1, (7,))
+    with pytest.raises(DegreeOutOfRange, match=r"^degree 5 outside \[0, 4\]$"):
+        hilbert_layer(grid, 5, 1)
+    with pytest.raises(WeightOutOfRange, match=r"^weight 5 outside \[0, 4\]$"):
+        hilbert_layer(grid, 1, 5)
     with pytest.raises(DegreeOutOfRange):
         cube(0)
     with pytest.raises(DegreeOutOfRange, match=r"^degree 4 outside \[0, 3\]$"):
@@ -216,20 +221,9 @@ def test_rank_block_full_degree_is_total_size():
     assert rank_block(grid, range(N + 1), range(N + 1)) == grid.size
 
 
-# Every arity order with arities 2 to 6, dimension at most 4 and at most
-# 100 points, except the grids of the verification family.
-_FAMILY = {grid.arities for grid in verification_family()}
-_OUTSIDE_FAMILY = [
-    arities
-    for dim in range(1, 5)
-    for arities in itertools.product(range(2, 7), repeat=dim)
-    if math.prod(arities) <= 100 and tuple(sorted(arities)) not in _FAMILY
-]
-
-
 @st.composite
 def _grid_degree_and_set(draw):
-    grid = UniformGrid(draw(st.sampled_from(_OUTSIDE_FAMILY)))
+    grid = UniformGrid(draw(st.sampled_from(off_family(100, 6, False))))
     N = grid.max_weight
     d = draw(st.integers(0, N))
     E = draw(st.sets(st.integers(0, N)))
@@ -243,3 +237,20 @@ def test_routes_agree_on_grids_outside_the_family(case):
     assert hilbert_closed(grid, d, E) == hilbert_rank_oracle(grid, d, E)
     if grid.is_su2():
         assert zstar_closure(grid, d, E) == l_bar(grid.max_weight, d, E)
+
+
+def test_rank_oracle_and_zstar_closure_ignore_the_order_of_the_arities():
+    """h_d(E) and the z*-closure depend only on the multiset of arities,
+    though each order of the arities puts the pivots in other places."""
+    rng = random.Random(2021)
+    for arities in [(2, 3, 4), (2, 2, 5), (3, 4, 2, 2), (2, 6), (3, 3, 5)]:
+        grid = UniformGrid(arities)
+        N = grid.max_weight
+        for _ in range(6):
+            d = rng.randint(0, N)
+            E = tuple(sorted(rng.sample(range(N + 1), rng.randint(0, N + 1))))
+            value, closure = hilbert_closed(grid, d, E), zstar_closure(grid, d, E)
+            for order in sorted(set(itertools.permutations(arities))):
+                reordered = UniformGrid(order)
+                assert hilbert_rank_oracle(reordered, d, E) == value, (order, d, E)
+                assert zstar_closure(reordered, d, E) == closure, (order, d, E)

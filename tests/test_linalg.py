@@ -439,6 +439,8 @@ def test_eval_matrix_entries_are_falling_factorial_values():
                 ), (arities, rows, cols)
 
 
+# Larger grids outside the verification family, picked by hand for cost;
+# tests/test_suites_off_family.py checks that they are outside it.
 _OFF_FAMILY = [(2, 3, 4, 5), (6, 6, 6), (5, 5, 2), (6, 9), (3, 3, 3, 3)]
 
 

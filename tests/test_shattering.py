@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mask_points, off_family
 from test_linalg import _greedy_columns
 
 from gridhilbert import (
@@ -15,7 +15,6 @@ from gridhilbert import (
     ord_str,
     order_shatters,
     standard_monomials,
-    verification_family,
 )
 from gridhilbert.shattering import downset_size, tau
 
@@ -104,7 +103,7 @@ def test_standard_monomials_match_the_power_basis_scan():
         grid = UniformGrid(arities)
         pts = list(grid.points())
         for mask in range(1 << len(pts)):
-            A = [p for i, p in enumerate(pts) if mask >> i & 1]
+            A = mask_points(pts, mask)
             assert set(standard_monomials(grid, A)) == _power_basis_footprint(grid, A)
     rng = random.Random(20261018)
     grid = UniformGrid((4, 3, 2))
@@ -133,7 +132,7 @@ def test_routes_agree_exhaustively():
         grid = UniformGrid(arities)
         pts = list(grid.points())
         for mask in range(1 << len(pts)):
-            A = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
+            A = frozenset(mask_points(pts, mask))
             shattered = set(ord_str(grid, A))
             assert shattered == set(standard_monomials(grid, A))
             assert len(shattered) == len(A)
@@ -182,7 +181,7 @@ def test_bitmask_recursion_matches_frozenset_reference():
         grid = UniformGrid(arities)
         pts = list(grid.points())
         for mask in range(1 << len(pts)):
-            A = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
+            A = frozenset(mask_points(pts, mask))
             memo = {}
             expected = {b for b in pts if _reference_shatters(A, b, memo)}
             assert set(ord_str(grid, A)) == expected
@@ -225,7 +224,7 @@ def test_cube_recursion_matches_classical_set_version():
     grid = UniformGrid((2, 2, 2))
     pts = list(grid.points())
     for mask in range(1 << len(pts)):
-        A = [p for i, p in enumerate(pts) if mask >> i & 1]
+        A = mask_points(pts, mask)
         family = frozenset(_as_set(p) for p in A)
         for b in grid.points():
             assert order_shatters(grid, A, b) == _classical_shatters(
@@ -273,20 +272,9 @@ def test_is_downward_closed():
     assert not is_downward_closed([(0, 0), (1, 1)])
 
 
-# Every arity order with an arity of 5 or 6, or four coordinates not all
-# binary, and at most 40 points: none of these is in the verification family.
-_FAMILY = {grid.arities for grid in verification_family()}
-_OUTSIDE_FAMILY = [
-    arities
-    for dim in range(1, 5)
-    for arities in itertools.product(range(2, 7), repeat=dim)
-    if math.prod(arities) <= 40 and tuple(sorted(arities)) not in _FAMILY
-]
-
-
 @st.composite
 def _grid_and_points(draw):
-    grid = UniformGrid(draw(st.sampled_from(_OUTSIDE_FAMILY)))
+    grid = UniformGrid(draw(st.sampled_from(off_family(40, 6, False))))
     pool = st.sampled_from(list(grid.points()))
     points = draw(st.lists(pool, max_size=10, unique=True))
     return grid, points

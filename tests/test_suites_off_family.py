@@ -1,34 +1,27 @@
 """Every grid-generic law, run exhaustively on grids outside the family.
 
 A suite's check generator takes any grid, so each law can be run on
-grids the acceptance sweeps never visit.  The grids here are every arity
-order with arities at most 6 and at most 12 points that is not in
-verification_family(): one-dimensional grids of 5 and 6 points, and
-orders the family's sorted representatives leave out.  Every check of
-every suite but cube and digression (which are tied to the binary cubes
-and to the 3x3 grid) must pass, with one documented exception: the
-wilson min display, which undershoots the single-layer value
-sizes[min(d, w, N - w)] past the middle degree (criterion 3).
+grids the acceptance sweeps never visit.  The grids here are
+off_family(12, 6, True) from conftest.py: every arity order with
+arities at most 6 and at most 12 points that is not in
+verification_family(), that is one-dimensional grids of 5 and 6
+points, and orders the family's sorted representatives leave out.
+Every check of every suite but cube and digression (which are tied to
+the binary cubes and to the 3x3 grid) must pass, with one documented
+exception: the wilson min display, which undershoots the single-layer
+value sizes[min(d, w, N - w)] past the middle degree (criterion 3).
 """
+
+import math
 
 import pytest
 
-from gridhilbert.grid import UniformGrid
-from gridhilbert.verify import SUITES, Limits, verification_family
+from conftest import FAMILY, off_family
+from test_linalg import _OFF_FAMILY
 
-OFF_FAMILY = [
-    (5,),
-    (6,),
-    (2, 5),
-    (2, 6),
-    (3, 2),
-    (4, 2),
-    (4, 3),
-    (5, 2),
-    (6, 2),
-    (2, 3, 2),
-    (3, 2, 2),
-]
+from gridhilbert.grid import UniformGrid
+from gridhilbert.verify import SUITES, Limits
+
 GRID_GENERIC = [name for name in SUITES if name not in ("cube", "digression")]
 
 
@@ -42,14 +35,25 @@ def _display_gap(grid, payload):
     )
 
 
-def test_off_family_grids_are_outside_the_family():
-    family = {grid.arities for grid in verification_family()}
-    for arities in OFF_FAMILY:
-        assert arities not in family
-        assert UniformGrid(arities).size <= 12
+def test_off_family_yields_only_grids_outside_the_family_within_its_bounds():
+    for max_points, max_arity in [(10, 10), (12, 6), (40, 6), (100, 6)]:
+        with_orders = off_family(max_points, max_arity, True)
+        sorted_only = off_family(max_points, max_arity, False)
+        assert list(with_orders) == sorted(set(with_orders), key=lambda a: (len(a), a))
+        for arities in with_orders:
+            assert arities not in FAMILY
+            assert all(2 <= k <= max_arity for k in arities)
+            assert math.prod(arities) <= max_points
+        for arities in sorted_only:
+            assert tuple(sorted(arities)) not in FAMILY
+    for arities in _OFF_FAMILY:
+        assert tuple(sorted(arities)) not in FAMILY
+    assert len(off_family(12, 6, True)) == 11
 
 
-@pytest.mark.parametrize("arities", OFF_FAMILY, ids=lambda a: ",".join(map(str, a)))
+@pytest.mark.parametrize(
+    "arities", off_family(12, 6, True), ids=lambda a: ",".join(map(str, a))
+)
 def test_every_law_holds_off_the_family(arities):
     grid = UniformGrid(arities)
     limits = Limits()

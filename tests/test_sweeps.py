@@ -12,13 +12,13 @@ the footprint sweep keeps nothing per mask.
 """
 
 import gc
-import itertools
-import math
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import mask_points, off_family
 
 from gridhilbert import (
     GridError,
@@ -26,7 +26,6 @@ from gridhilbert import (
     hilbert_rank_oracle,
     ord_str,
     standard_monomials,
-    verification_family,
     zstar_closure,
 )
 from gridhilbert.closure import zstar_sweep
@@ -45,17 +44,14 @@ def _assert_sweeps_match_one_shot_routes(grid):
             assert rank == hilbert_rank_oracle(grid, d, E), (grid.spec(), d, E)
             assert closed == zstar_closure(grid, d, E), (grid.spec(), d, E)
     pts = list(grid.points())
-
-    def points(mask):
-        return [p for i, p in enumerate(pts) if mask >> i & 1]
-
     footprints = list(footprint_sweep(grid))
     shattered = list(shattering_sweep(grid))
     assert len(footprints) == len(shattered) == 1 << len(pts)
     for mask, (footprint, sh) in enumerate(zip(footprints, shattered)):
-        A = points(mask)
-        assert set(points(footprint)) == standard_monomials(grid, A), (grid.spec(), A)
-        assert set(points(sh)) == ord_str(grid, A), (grid.spec(), A)
+        A = mask_points(pts, mask)
+        sm = set(mask_points(pts, footprint))
+        assert sm == standard_monomials(grid, A), (grid.spec(), A)
+        assert set(mask_points(pts, sh)) == ord_str(grid, A), (grid.spec(), A)
 
 
 def test_sweeps_match_one_shot_routes_on_small_family_grids():
@@ -63,19 +59,8 @@ def test_sweeps_match_one_shot_routes_on_small_family_grids():
         _assert_sweeps_match_one_shot_routes(UniformGrid(arities))
 
 
-# Every arity tuple with at most 10 points that is not a grid of the
-# verification family, reorderings of family grids included.
-_FAMILY = {grid.arities for grid in verification_family()}
-_SMALL_OUTSIDE_FAMILY = [
-    arities
-    for dim in (1, 2, 3)
-    for arities in itertools.product(range(2, 11), repeat=dim)
-    if math.prod(arities) <= 10 and arities not in _FAMILY
-]
-
-
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
-@given(st.sampled_from(_SMALL_OUTSIDE_FAMILY))
+@given(st.sampled_from(off_family(10, 10, True)))
 def test_sweeps_match_one_shot_routes_off_the_family(arities):
     _assert_sweeps_match_one_shot_routes(UniformGrid(arities))
 

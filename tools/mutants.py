@@ -52,6 +52,13 @@ MUTANTS = (
         ("tests/test_hilbert.py",),
     ),
     Mutant(
+        "layer-display-checks-degree-as-weight",
+        "src/gridhilbert/hilbert.py",
+        "sizes[check_degree(d, grid.max_weight)]",
+        "sizes[grid.check_weight(d)]",
+        ("tests/test_hilbert.py::test_bad_arguments",),
+    ),
+    Mutant(
         "profile-spare-ascending",
         "src/gridhilbert/hilbert.py",
         "zip(be.w_asc, be.t_desc)",
