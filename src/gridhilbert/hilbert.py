@@ -115,7 +115,7 @@ def hilbert_profile(N: int, d: int, E: Iterable[int]) -> tuple[tuple[int, int], 
     be = be_enumeration(N, d, E)
     size = len(be.kept) + len(be.w_asc)
     if size < d + 1:
-        raise SetTooSmall(f"need at least {d + 1} weights, got {size}")
+        raise SetTooSmall(f"need {d + 1} or more weights, got {size}")
     return tuple((u, u) for u in be.kept) + tuple(zip(be.w_asc, be.t_desc))
 
 

@@ -1,9 +1,11 @@
 """Golden bytes and fault pins: what a refactor of the CLI or the suites must keep.
 
-The CLI half pins, byte for byte, the stdout and exit status of every
-README example and of every command's ``--json`` form, the sha256 of
-``verify all --json --max-points 12`` and of each ``--help`` text at 80
-columns, and the stderr line and exit status of each class of CLI error.
+The CLI half is the one test of the command line.  It pins, byte for
+byte, the stdout and exit status of every example of README.md's
+"Command line" block, read from README.md, and of every command's
+``--json`` form, the sha256 of ``verify all --json --max-points 12`` and
+of each ``--help`` text at 80 columns, and the stderr line and exit
+status of each class of CLI error.
 
 The fault half breaks one route of each suite on purpose, by patching
 one module attribute the suite looks up, so that a chosen instance
@@ -21,6 +23,8 @@ payload without running the whole suite.
 
 import dataclasses
 import hashlib
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -30,30 +34,28 @@ from gridhilbert.verify import Limits, SuiteResult, verify_suite
 
 # ---------------------------------------------------------------- CLI bytes
 
-# Every example of README.md's "Command line" section but the last,
-# `verify all` at the default limits, which the acceptance gate runs.
-README_EXAMPLES = [
-    ("layer-sizes --grid 3,3", 0, "1,2,3,2,1\n"),
-    ("hilbert --grid 3,3 --degree 1 --set 2", 0, "closed=2, oracle=2\n"),
-    (
-        "hilbert --grid 3,3 --degree 1 --set 2 --dump-matrix",
-        0,
-        "closed=2, oracle=2\n1 1 1\n2 1 0\n0 1 2\n",
-    ),
-    ("be-enum --grid 3,3 --degree 1 --set 1,3", 0, "t_desc=0\nw_asc=3\nkept=1\n"),
-    ("profile --grid 3,3 --degree 1 --set 1,3", 0, "1,1\n3,0\nvalue=3\n"),
-    (
-        "closure --grid 3,3 --degree 1 --set 1,3",
-        0,
-        "input=1,3\nlbar=0,1,2,3,4\nzstar=0,1,2,3,4\niterations=2\nagree=yes\n",
-    ),
-    ("sm --grid 2,2 --points 0,0;0,1;1,0", 0, "0,0\n0,1\n1,0\n"),
-    ("ordstr --grid 3,3 --set 2", 0, "0,0\n0,1\n0,2\n"),
-    ("verify digression", 0, "suite digression: ok (4 checks)\n"),
-]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
-# argv, exit status, stdout of every command's --json form.  The point
-# lists repeat a point, which the payload's "points" lists once.
+
+def _readme_examples():
+    """(argv, stdout) of each example of README.md's "Command line" block
+    but the last, `verify all` at the default limits, which the acceptance
+    gate runs.  An example is a `$ gridhilbert` line and the output lines
+    up to the next blank line."""
+    block = README.read_text().split("## Command line\n", 1)[1].split("```\n")[1]
+    examples = []
+    for example in block.split("\n\n")[:-1]:
+        command, *lines = example.splitlines()
+        argv = shlex.split(command.removeprefix("$ gridhilbert "))
+        examples.append((argv, "".join(f"{line}\n" for line in lines)))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+# argv, exit status, stdout of every command's --json form, then of text
+# forms the README does not show.  The point lists repeat a point, which
+# the payload's "points" lists once.
 JSON_OUTPUTS = [
     (
         ["layer-sizes", "--grid", "2,3,4", "--json"],
@@ -143,14 +145,36 @@ JSON_OUTPUTS = [
         '"counterexample": {"grid": "2,2", "degree": 2, "weight": 1, '
         '"law": "single-layer", "hilbert": "2", "display": "1"}}]}\n',
     ),
-    # Text forms the README does not show: an empty result prints nothing,
-    # and a disagreement of the closure routes prints agree=no.
+    (
+        ["hilbert", "--grid", "3,3", "--degree", "2", "--set", "0,4", "--json"],
+        0,
+        '{"grid": "3,3", "degree": 2, "set": [0, 4], "closed": "2", "oracle": "2"}\n',
+    ),
+    # An empty result prints nothing, a disagreement of the closure routes
+    # prints agree=no, and a failing suite prints its counterexample as
+    # JSON and exits 2.
     (["sm", "--grid", "3,3", "--points", ""], 0, ""),
     (
         ["closure", "--grid", "3", "--degree", "1", "--set", "0,2"],
         0,
         "input=0,2\nlbar=0,2\nzstar=0,1,2\niterations=0\nagree=no\n",
     ),
+    (
+        ["closure", "--grid", "2,3,4", "--degree", "2", "--set", "0,3"],
+        0,
+        "input=0,3\nlbar=0,3\nzstar=0,3\niterations=0\nagree=yes\n",
+    ),
+    (["sm", "--grid", "2,2", "--set", "1"], 0, "0,0\n0,1\n"),
+    (["ordstr", "--grid", "2,2", "--points", "0,0;0,1;1,0"], 0, "0,0\n0,1\n1,0\n"),
+    (
+        ["verify", "wilson"],
+        2,
+        "suite wilson: FAIL (37 checks)\n"
+        '{"grid": "2,2", "degree": 2, "weight": 1, "law": "single-layer", '
+        '"hilbert": "2", "display": "1"}\n'
+        "1 of 1 suites failed\n",
+    ),
+    (["verify", "up-rank", "--max-points", "12"], 0, "suite up-rank: ok (46 checks)\n"),
 ]
 
 # sha256 of the stdout of `gridhilbert [command] --help` at COLUMNS=80.
@@ -168,62 +192,154 @@ HELP_SHA256 = {
 
 VERIFY_ALL_JSON_12 = "9eb198ec1d46113fc9f9433e04b223cefc59bca8e3bac2ae8462b2394e5f85e0"
 
-# argv, exit status, last line of stderr.
+# A decimal string past int()'s limit of 4300 digits.
+_LONG = "1" * 5000
+
+# argv, exit status, stderr line.  A GridError is the whole of stderr;
+# argparse prints its usage first, so only its last line is pinned.
 CLI_ERRORS = [
     (
-        "hilbert --grid 3,x --degree 1 --set 2",
+        ["hilbert", "--grid", "3,x", "--degree", "1", "--set", "2"],
         1,
         "ParseError: bad grid spec '3,x': expected comma-separated integers",
     ),
     (
-        "hilbert --grid 3,3 --degree 1 --set 2,9",
+        ["layer-sizes", "--grid", "3,x"],
+        1,
+        "ParseError: bad grid spec '3,x': expected comma-separated integers",
+    ),
+    (
+        ["hilbert", "--grid", "3,3", "--degree", "1", "--set", "2,9"],
         1,
         "WeightOutOfRange: weight 9 outside [0, 4]",
     ),
+    # The range is checked against the top weight before it is expanded.
     (
-        "hilbert --grid 3,3 --degree 7 --set 2",
+        ["hilbert", "--grid", "3,3", "--degree", "1", "--set", "0-3000000"],
+        1,
+        "WeightOutOfRange: weight 5 outside [0, 4]",
+    ),
+    (
+        ["hilbert", "--grid", "3,3", "--degree", "7", "--set", "2"],
         1,
         "DegreeOutOfRange: degree 7 outside [0, 4]",
     ),
     (
-        "closure --grid 3,3 --degree 5 --set 1",
+        ["closure", "--grid", "3,3", "--degree", "5", "--set", "1"],
         1,
         "DegreeOutOfRange: degree 5 outside [0, 4]",
     ),
     (
-        "profile --grid 3,3 --degree 9 --set 0-4",
+        ["profile", "--grid", "3,3", "--degree", "9", "--set", "0-4"],
         1,
         "DegreeOutOfRange: degree 9 outside [0, 4]",
     ),
     (
-        "verify nosuch",
+        ["profile", "--grid", "3,3", "--degree", "2", "--set", "1,3"],
+        1,
+        "SetTooSmall: need 3 or more weights, got 2",
+    ),
+    (
+        ["profile", "--grid", "3,3", "--degree", "0", "--set", ""],
+        1,
+        "SetTooSmall: need 1 or more weights, got 0",
+    ),
+    (
+        ["ordstr", "--grid", "2,2", "--points", "0,0;9,9"],
+        1,
+        "PointNotInGrid: (9, 9) is not a point of the grid 2,2",
+    ),
+    (
+        ["verify", "nosuch"],
         1,
         "UnknownSuite: unknown suite 'nosuch'; choose from: grid-hilbert, cube, "
         "wilson, up-rank, factorization, tail-collapse, interval-rank, "
         "zstar-lbar, closure-laws, shattering, layers, digression, all",
     ),
     (
-        "hilbert --grid 3,3",
+        ["sm", "--grid", "2,2"],
+        1,
+        "ParseError: provide exactly one of --set and --points",
+    ),
+    (
+        ["ordstr", "--grid", "2,2", "--set", "1", "--points", "0,0"],
+        1,
+        "ParseError: provide exactly one of --set and --points",
+    ),
+    # A coordinate, like every integer of the text grammar, is plain decimal
+    # digits: not the spellings int() also reads, nor a superscript digit.
+    *(
+        (
+            ["sm", "--grid", "3,11", "--points", f"0,{c}"],
+            1,
+            f"ParseError: bad point '0,{c}' in '0,{c}'",
+        )
+        for c in ("1_0", "+1", "-1")
+    ),
+    (
+        ["layer-sizes", "--grid", "3,\u00b2"],
+        1,
+        "ParseError: bad grid spec '3,\u00b2': expected comma-separated integers",
+    ),
+    (
+        ["hilbert", "--grid", "3,3", "--degree", "1", "--set", "\u00b2"],
+        1,
+        "ParseError: bad weight-set token '\u00b2'",
+    ),
+    (
+        ["hilbert", "--grid", "3,3", "--degree", "1", "--set", "0-\u00b2"],
+        1,
+        "ParseError: bad weight-set token '0-\u00b2'",
+    ),
+    (
+        ["layer-sizes", "--grid", f"3,{_LONG}"],
+        1,
+        f"ParseError: bad grid spec '3,{_LONG}': expected comma-separated integers",
+    ),
+    (
+        ["hilbert", "--grid", "3,3", "--degree", "1", "--set", _LONG],
+        1,
+        f"ParseError: bad weight-set token '{_LONG}'",
+    ),
+    (
+        ["sm", "--grid", "3,3", "--points", f"0,{_LONG}"],
+        1,
+        f"ParseError: bad point '0,{_LONG}' in '0,{_LONG}'",
+    ),
+    (
+        ["hilbert", "--grid", "3,3"],
         1,
         "gridhilbert hilbert: error: the following arguments are required: "
         "--degree, --set",
     ),
     (
-        "hilbert --grid 3,11 --degree 1_0 --set 2",
+        ["hilbert", "--grid", "3,11", "--degree", "1_0", "--set", "2"],
         1,
         "gridhilbert hilbert: error: argument --degree: invalid _decimal value: '1_0'",
     ),
     (
-        "hilbert --grid 3,3 --degree x --set 2",
+        ["hilbert", "--grid", "3,3", "--degree", "x", "--set", "2"],
         1,
         "gridhilbert hilbert: error: argument --degree: invalid _decimal value: 'x'",
     ),
-    ("sm --grid 2,2", 1, "ParseError: provide exactly one of --set and --points"),
-    (
-        "ordstr --grid 2,2 --set 1 --points 0,0",
-        1,
-        "ParseError: provide exactly one of --set and --points",
+    *(
+        (
+            ["verify", "digression", flag, value],
+            1,
+            f"gridhilbert verify: error: argument {flag}: invalid _decimal value: "
+            f"{value!r}",
+        )
+        for flag in ("--max-points", "--seed")
+        for value in ("1_0", "+1", " 1", "\u00b2")
     ),
+    (
+        ["no-such-command"],
+        1,
+        "gridhilbert: error: argument command: invalid choice: 'no-such-command' "
+        "(choose from 'hilbert', 'layer-sizes', 'be-enum', 'profile', 'closure', "
+        "'sm', 'ordstr', 'verify')",
+    ),
+    ([], 1, "gridhilbert: error: the following arguments are required: command"),
 ]
 
 
@@ -237,10 +353,10 @@ def _run(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "line,code,out", README_EXAMPLES, ids=[e[0] for e in README_EXAMPLES]
+    "argv,out", README_EXAMPLES, ids=[" ".join(e[0]) for e in README_EXAMPLES]
 )
-def test_readme_example_bytes(capsys, line, code, out):
-    assert _run(capsys, line.split(" ")) == (code, out, "")
+def test_readme_example_bytes(capsys, argv, out):
+    assert _run(capsys, argv) == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -264,10 +380,15 @@ def test_verify_all_json_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_12
 
 
-@pytest.mark.parametrize("line,code,last", CLI_ERRORS, ids=[e[0] for e in CLI_ERRORS])
-def test_cli_error_line(capsys, line, code, last):
-    got, out, err = _run(capsys, line.split(" "))
-    assert (got, out, err.splitlines()[-1]) == (code, "", last)
+# Ids are cut at 60 characters: three argvs hold a 5,000-digit number.
+@pytest.mark.parametrize(
+    "argv,code,line", CLI_ERRORS, ids=[" ".join(e[0])[:60] for e in CLI_ERRORS]
+)
+def test_cli_error_line(capsys, argv, code, line):
+    got, out, err = _run(capsys, argv)
+    if line.startswith("gridhilbert"):  # argparse's error, after its usage
+        err = err.splitlines()[-1] + "\n"
+    assert (got, out, err) == (code, "", line + "\n")
 
 
 # ---------------------------------------------------------------- fault pins

@@ -182,7 +182,7 @@ def test_profile_structure():
 
 
 def test_profile_requires_enough_weights():
-    with pytest.raises(SetTooSmall):
+    with pytest.raises(SetTooSmall, match="^need 3 or more weights, got 2$"):
         hilbert_profile(3, 2, (1, 3))
 
 

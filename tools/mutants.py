@@ -5,9 +5,12 @@ Usage:
     python3 tools/mutants.py NAME ...   run the named mutants
 
 A mutant is a file, an exact old/new string pair and a pytest selection.
-The old string must occur exactly once in the file, so a refactor that
-moves the code makes the list fail loudly instead of testing nothing.
-The tool copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
+The old string must occur exactly once in the file, and each selection
+must name a test file and test function that exist, so a refactor that
+moves the code or the tests makes the list fail loudly instead of
+testing nothing.
+The tool copies ``src``, ``tests``, ``pyproject.toml`` and ``README.md``
+(whose examples ``tests/test_golden.py`` reads) to a temporary
 directory and first runs every selection on the unmutated copy, which
 must pass.  Then, per mutant, it makes a fresh copy, applies the
 mutant and runs its selection there, with ``PYTHONPATH`` on the copy's
@@ -269,7 +272,7 @@ MUTANTS = (
         "src/gridhilbert/cli.py",
         "f\"agree={'yes' if agree else 'no'}\",",
         "\"agree=yes\",",
-        ("tests/test_cli.py",),
+        ("tests/test_golden.py",),
     ),
     # rank reports only the rank, so feeding the rows to a span of their
     # own length (n_cols) is an equivalent mutant: row rank equals column
@@ -287,7 +290,7 @@ MUTANTS = (
         "src/gridhilbert/grid.py",
         'points.append(tuple(_decimal(t.strip(), error) for t in chunk.split(",")))',
         'points.append(tuple(int(t) for t in chunk.split(",")))',
-        ("tests/test_cli.py",),
+        ("tests/test_golden.py",),
     ),
     # rank_block and eval_matrix build their blocks with binomial_rows:
     # exponents and points swapped, the exponent rows in reverse order, and
@@ -421,7 +424,7 @@ MUTANTS = (
         "src/gridhilbert/grid.py",
         "    if token.isdecimal():\n",
         "    if True:\n",
-        ("tests/test_cli.py",),
+        ("tests/test_golden.py",),
     ),
     Mutant(
         "shattering-drops-exhaustive-size-law",
@@ -451,7 +454,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _pytest(tree: Path, tests) -> tuple[bool, float, str]:
@@ -471,11 +475,18 @@ def _pytest(tree: Path, tests) -> tuple[bool, float, str]:
 
 
 def _stale(mutants) -> list[str]:
+    """What makes a mutant stale: its old string is not found exactly
+    once, or a selection names a file or a test function that is gone."""
     out = []
     for m in mutants:
         count = (ROOT / m.path).read_text().count(m.old)
         if count != 1:
             out.append(f"{m.name}: old string found {count} times in {m.path}")
+        for selection in m.tests:
+            path, _, test = selection.partition("::")
+            text = (ROOT / path).read_text() if (ROOT / path).is_file() else None
+            if text is None or test and f"def {test.split('[')[0]}(" not in text:
+                out.append(f"{m.name}: selection {selection} is not defined")
     return out
 
 
