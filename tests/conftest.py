@@ -4,6 +4,7 @@ import math
 import sys
 
 from gridhilbert import verification_family
+from gridhilbert.cli import main
 
 FAMILY = frozenset(grid.arities for grid in verification_family())
 
@@ -30,6 +31,16 @@ def off_family(max_points, max_arity, reorderings):
 def mask_points(pts, mask):
     """The points pts[i] for the set bits i of mask, in the order of pts."""
     return [p for i, p in enumerate(pts) if mask >> i & 1]
+
+
+def run_cli(capsys, argv):
+    """Exit status, stdout and stderr of gridhilbert argv, run in process."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def pytest_terminal_summary(terminalreporter):

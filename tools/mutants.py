@@ -290,7 +290,7 @@ MUTANTS = (
         "src/gridhilbert/grid.py",
         'points.append(tuple(_decimal(t.strip(), error) for t in chunk.split(",")))',
         'points.append(tuple(int(t) for t in chunk.split(",")))',
-        ("tests/test_golden.py",),
+        ("tests/test_cli.py",),
     ),
     # rank_block and eval_matrix build their blocks with binomial_rows:
     # exponents and points swapped, the exponent rows in reverse order, and
@@ -424,7 +424,7 @@ MUTANTS = (
         "src/gridhilbert/grid.py",
         "    if token.isdecimal():\n",
         "    if True:\n",
-        ("tests/test_golden.py",),
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "shattering-drops-exhaustive-size-law",
