@@ -124,9 +124,9 @@ def is_interval_compatible(c: int, d: int, values: Sequence[int]) -> bool:
 
     The conditions: w_t >= t for every t; any w_t different from t lies
     beyond d; and the off-interval values strictly decrease as t grows.
-    The interval may be empty (c == d + 1).
+    The interval may be empty (c == d + 1) but may not start below 0.
     """
-    if c > d + 1:
+    if c < 0 or c > d + 1:
         raise LengthMismatch(f"invalid interval [{c}, {d}]")
     values = tuple(values)
     if len(values) != d - c + 1:

@@ -19,8 +19,14 @@ shattering suite (grids of 17 to 27 points) is pinned on its own: its
 check generator runs on one 18-point grid at the default seed, with one
 early draw broken, so the pin holds the draws up to the failure and the
 payload without running the whole suite.
+
+The call-count pins count the exact questions the rank suites ask on
+the benchmark's sweep_rank limits: interval-rank ranks each distinct
+block once per grid, and closure-laws asks hilbert_closed once per set
+and once per distinct closure of each degree, with unchanged results.
 """
 
+import collections
 import dataclasses
 import hashlib
 import shlex
@@ -866,3 +872,53 @@ def test_sampled_shattering_size_fault_pin(monkeypatch):
     items = verify._shattering(UniformGrid((2, 3, 3)), Limits())
     first = next((i, item) for i, item in enumerate(items) if item is not None)
     assert first == SAMPLED_SHATTERING_SIZE_PIN
+
+
+# --------------------------------------------------------- call-count pins
+
+# The sweep_rank workload's limits (bench/workloads.py).
+_SWEEP_RANK = Limits(max_points=18, max_cube=5)
+
+
+def _count_calls(mp, owner, name, key):
+    """Patch owner.name to count its calls under key(*args)."""
+    calls = collections.Counter()
+    original = getattr(owner, name)
+
+    def patched(*args):
+        calls[key(*args)] += 1
+        return original(*args)
+
+    mp.setattr(owner, name, patched)
+    return calls
+
+
+def test_interval_rank_ranks_each_distinct_block_once(monkeypatch):
+    calls = _count_calls(
+        monkeypatch, hilbert, "rank_block",
+        lambda grid, rows, cols: (grid.spec(), tuple(rows), tuple(cols)),
+    )
+    result = verify_suite("interval-rank", _SWEEP_RANK)
+    assert result == SuiteResult("interval-rank", True, 3000)
+    assert calls and max(calls.values()) == 1
+
+
+def test_closure_laws_ask_each_set_and_each_closure_once_per_degree(monkeypatch):
+    """One hilbert_closed call per (grid, degree, set), for the set's own
+    value, plus one per distinct (grid, degree, closure), for the value
+    of the closure."""
+    want = collections.Counter()
+    for grid in verify.verification_family(_SWEEP_RANK.max_points, _SWEEP_RANK.max_cube):
+        N = grid.max_weight
+        for d in range(N + 1):
+            closures = set(closure.zstar_sweep(grid, d))
+            for mask in range(1 << (N + 1)):
+                E = frozenset(j for j in range(N + 1) if mask >> j & 1)
+                want[grid.spec(), d, E] = 1 + (E in closures)
+    calls = _count_calls(
+        monkeypatch, hilbert, "hilbert_closed",
+        lambda grid, d, E: (grid.spec(), d, frozenset(E)),
+    )
+    result = verify_suite("closure-laws", _SWEEP_RANK)
+    assert result == SuiteResult("closure-laws", True, 46921)
+    assert calls == want

@@ -199,6 +199,8 @@ def test_interval_compatibility():
         is_interval_compatible(1, 3, (1, 5, 5))
     with pytest.raises(LengthMismatch):
         is_interval_compatible(4, 2, ())
+    with pytest.raises(LengthMismatch, match=r"invalid interval \[-1, 0\]"):
+        is_interval_compatible(-1, 0, (-1, 0))
 
 
 def test_interval_rank_hand_instance():

@@ -447,6 +447,29 @@ MUTANTS = (
         "yield None if compatible else dict(",
         ("tests/test_golden.py::test_fault_pin[interval-rank-min-sum]",),
     ),
+    # Keying the block by (d, *E) gives an equivalent mutant: |E| is the
+    # interval's length, so d and E fix its start c.
+    Mutant(
+        "interval-rank-memo-drops-interval",
+        "src/gridhilbert/verify.py",
+        "key = (c, d, *E)",
+        "key = tuple(E)",
+        ("tests/test_golden.py::test_interval_rank_ranks_each_distinct_block_once",),
+    ),
+    Mutant(
+        "closure-invariance-memo-shared-across-degrees",
+        "src/gridhilbert/verify.py",
+        "    for d in range(N + 1):\n"
+        "        closures = tables[d]\n"
+        "        closed_values = {}\n",
+        "    closed_values = {}\n"
+        "    for d in range(N + 1):\n"
+        "        closures = tables[d]\n",
+        (
+            "tests/test_golden.py::"
+            "test_closure_laws_ask_each_set_and_each_closure_once_per_degree",
+        ),
+    ),
 )
 
 
