@@ -18,12 +18,15 @@ the masks G of the tail groups (points sharing a[t+1:]) and the cut
 masks {a : a[t] < v} for v = 1 .. k_t - 1.  A group of S is S & G, its
 size a popcount, and its cuts are tried by ascending v, skipping a cut
 whose lower part repeats the previous one and stopping once the lower
-part is the whole group.  ord_str is the one-shot route, with a memo
-that lives for one call, and order_shatters asks whether b is in its
-answer.  The shattering sweep answers every point set of a grid
-of at most 16 points in mask order: both parts of a cut are nonempty
-proper submasks of the set, so one table filled in increasing mask
-order holds both recursive answers before they are read.
+part is the whole group.  ord_str is the one-shot route, the plain
+recursion with a memo that lives for one call, and order_shatters asks
+whether b is in its answer.  The shattering sweep answers every point
+set of a grid of at most 16 points in mask order: both parts of a cut
+are nonempty proper submasks of the set, so one table filled in
+increasing mask order holds both recursive answers before they are read.
+Since order shattering is monotone in the set, the sweep seeds each
+set's row with the rows of two of its proper submasks and tests a
+multiset only when the row already holds both its recursion targets.
 
 Standard monomials are computed by a separate route with no shattering
 in it: scan the monomials X^alpha for alpha in the grid in ascending lex
@@ -128,7 +131,11 @@ def ord_str(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:
     """All multisets the point set order-shatters.
 
     Every multiset of the grid is tested on its own, with one memo for
-    the call.
+    the call.  This route keeps the plain recursion, without the
+    monotonicity pruning of shattering_sweep: the sweep is checked
+    against it, so it must not rest on the lemma that prunes the sweep.
+    A one-shot call tests each multiset once, so pruning would save it
+    little.
     """
     bit, steps = _shatter_tables(grid)
     S = sum({1 << bit[grid.check_point(p)] for p in A})
@@ -158,18 +165,38 @@ def shattering_sweep(grid: UniformGrid) -> Iterator[int]:
     the same answers but made the 4,4 sweep 1.4 to 2.4 times as slow.
     Grids of more than 16 points are refused: the table has 2^|grid|
     entries of 16 bits.
+
+    Most tests are pruned by one lemma: if S is a subset of S' and S
+    order-shatters b, then S' order-shatters b.  Proof, by induction on
+    b's lex index (b = 0 is S' being nonempty): S' & G contains S & G, so
+    the size bound still holds.  At the cut where S shatters b, the parts
+    of S' contain the parts of S, which are nonempty and, by induction,
+    still shatter their targets, whose indices are lower.  So the
+    `lower == group` break cannot come first, and a `lower == prev` skip
+    only repeats a split already tried.  Hence if S shatters b != 0, S
+    also shatters both recursion targets, since a part of S shatters
+    each.  The row of S starts as the union of the rows of S without its
+    lowest bit and S without its highest, two proper submasks already
+    filled.  Only the multisets outside it whose downset fits in |S|,
+    fits[|S|], are tested, in ascending index, and one is skipped unless
+    the row already holds both its targets: their indices are lower, so
+    the row is final there.
     """
     n = grid.size
     if n > 16:
         raise GridTooLarge(f"the shattering sweep takes at most 16 points, not {n}")
     steps = _shatter_tables(grid)[1]
+    fits = [sum(1 << j for j in range(1, n) if steps[j][0] <= s) for s in range(n + 1)]
     sh = array("H", bytes(2 << n))
-    for S in range(1 << n):
-        size = S.bit_count()
-        row = int(S != 0)
-        for j in range(1, n):
+    yield sh[0]
+    for S in range(1, 1 << n):
+        row = 1 | sh[S & (S - 1)] | sh[S ^ 1 << S.bit_length() - 1]
+        todo = fits[S.bit_count()] & ~row
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
             need, groups, cuts, j_deleted, j_removed = steps[j]
-            if size < need:
+            if not row >> j_deleted & row >> j_removed & 1:
                 continue
             for G in groups:
                 group = S & G

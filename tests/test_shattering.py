@@ -287,3 +287,25 @@ def test_routes_agree_on_grids_outside_the_family(case):
     shattered = ord_str(grid, A)
     assert shattered == standard_monomials(grid, A)
     assert len(shattered) == len(A)
+
+
+@st.composite
+def _grid_set_and_member(draw):
+    grid, points = draw(_grid_and_points().filter(lambda case: case[1]))
+    return grid, points, draw(st.sampled_from(points))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_grid_set_and_member())
+def test_shattering_is_monotone_and_holds_both_recursion_targets(case):
+    """The lemma that prunes shattering_sweep, on the one-shot route: a
+    subset shatters no more than its set, and a set that shatters b != 0
+    also shatters both recursion targets of b."""
+    grid, A, x = case
+    shattered = ord_str(grid, A)
+    assert ord_str(grid, [p for p in A if p != x]) <= shattered
+    for b in shattered:
+        if any(b):
+            t = tau(b) - 1
+            assert b[:t] + (0,) + b[t + 1 :] in shattered
+            assert b[:t] + (b[t] - 1,) + b[t + 1 :] in shattered

@@ -219,8 +219,27 @@ MUTANTS = (
     Mutant(
         "shattering-sweep-empty-set-shatters",
         "src/gridhilbert/shattering.py",
-        "        row = int(S != 0)\n",
-        "        row = 1\n",
+        "    yield sh[0]\n",
+        "    yield 1\n",
+        ("tests/test_sweeps.py",),
+    ),
+    # The monotonicity pruning: a row seeded from a mask that is not a
+    # subset of S, and a size bound one point low.  Dropping the seed
+    # (row = 1) or testing only one of the two targets gives an
+    # equivalent mutant: each only prunes less, and the masks stay the
+    # same.
+    Mutant(
+        "shattering-sweep-seeds-from-non-subset",
+        "src/gridhilbert/shattering.py",
+        "sh[S & (S - 1)]",
+        "sh[S - 1]",
+        ("tests/test_sweeps.py",),
+    ),
+    Mutant(
+        "shattering-sweep-size-bound-one-low",
+        "src/gridhilbert/shattering.py",
+        "fits[S.bit_count()]",
+        "fits[S.bit_count() - 1]",
         ("tests/test_sweeps.py",),
     ),
     Mutant(
