@@ -7,15 +7,16 @@ the closure routes ask whether a column lies in it, and the footprint
 scan keeps the monomial columns that enlarge it.  Nothing here ever
 rounds.  A Bareiss step writes only the stored row's nonzero positions;
 every other entry is only rescaled, and the scale is applied once, when
-the row is stored, so a step costs the row's nonzeros, not the
-vector's length.  A stored row depends only on the rows before it, so
-Span.truncate(r) leaves exactly the span of the first r stored rows;
-subset_sweep uses that to visit every union of a list of blocks in
-increasing mask order with about two span operations per mask instead
-of a fresh elimination.  A reduction can be resumed from any stored row,
-and storing a reduced vector is a method of its own, so
-shattering.footprint_sweep keeps point rows reduced ahead on the same
-kernel, one Bareiss step per pending row and mask.
+the row is stored, and only to its nonzeros, so a step costs the row's
+nonzeros, not the vector's length.  A stored row depends only on the
+rows before it, so Span.truncate(r) leaves exactly the span of the
+first r stored rows; subset_sweep uses that to visit every union of a
+list of blocks in increasing mask order with about two span operations
+per mask instead of a fresh elimination.  A reduction can be resumed
+from any stored row, and storing a reduced vector is a method of its
+own, so shattering.footprint_sweep keeps point rows reduced ahead on
+the same kernel, one Bareiss step per pending row and mask, and stores
+nothing for the masks whose rows no other mask reads.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  One builder,
 binomial_rows, makes every evaluation table, in the binomial basis
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import comb, factorial, prod
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
@@ -154,9 +156,10 @@ class Span:
     telescope.  So _reduce keeps, per entry, the pivot entry q at which it
     was last written (1 if never), and the entry's current value is
     v[i] * prev // q, exact because that value is a minor.  Only _store
-    needs the values; membership needs only whether every entry is zero,
-    which no rescaling changes.  add is _reduce then _store, and
-    membership _reduce then a zero test.
+    needs the values, and only at the support: it writes them into a row
+    of zeros, since a zero entry rescales to zero.  Membership needs only
+    whether every entry is zero, which no rescaling changes.  add is
+    _reduce then _store, and membership _reduce then a zero test.
     """
 
     __slots__ = ("length", "_rows", "_supports")
@@ -199,12 +202,19 @@ class Span:
 
     def _store(self, v: Sequence[int], scale: Sequence[int], prev: int) -> int | None:
         """Store v, reduced by every stored row as _reduce leaves it; its
-        pivot position, or None when v is zero."""
-        support = [i for i, a in enumerate(v) if a]
+        pivot position, its first nonzero entry, or None when v is zero.
+
+        The stored row is zero off v's support, and each entry on it is
+        rescaled once, to v[i] * prev // scale[i].
+        """
+        support = list(compress(range(len(v)), v))
         if not support:
             return None
         c = support[0]
-        self._rows.append((c, [x * prev // q for x, q in zip(v, scale)]))
+        row = [0] * len(v)
+        for i in support:
+            row[i] = v[i] * prev // scale[i]
+        self._rows.append((c, row))
         self._supports.append(support)
         return c
 

@@ -44,10 +44,12 @@ order by plain linear algebra: each point adds its row of all grid
 binomials to one Span, and the row pivots, the lex-first column basis,
 are the standard monomials.  It walks the sets as an elimination tree:
 a set's stack level holds the rows of the points below its lowest one
-already reduced by its own rows, so a set costs one stored row and one
-Bareiss step per row held.  The two routes coincide on every set of
-grid points, and that equality is part of the verification surface of
-this package rather than an assumption of the code.
+already reduced by its own rows.  A set that holds point 0 is a leaf:
+it stores nothing and reads its pivot off its parent's row of point 0.
+Every other set costs one stored row and one Bareiss step per row
+held.  The two routes coincide on every set of grid points, and that
+equality is part of the verification surface of this package rather
+than an assumption of the code.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import EmptyMultiset, GridTooLarge
@@ -241,28 +244,47 @@ def footprint_sweep(grid: UniformGrid) -> Iterator[int]:
     Each point of A adds its full binomial row to one Span, whose pivot
     positions, the lex-first column basis, are the monomials the column
     scan keeps.  The sets form an elimination tree: a stack of levels, one
-    per point of A, highest at the bottom, popped and pushed as in
-    linalg.subset_sweep.  A level holds its rank, its answer and, per point
-    below its lowest one, that point's row reduced by the level's stored
-    rows, as Span._reduce leaves it.  Mask m with lowest bit b stores point
-    b's pending row on the parent level, adds its pivot to the parent's
-    answer and resumes a copy of each lower pending row by that one row;
-    the parent keeps its copies for m's siblings.  Each row gets the steps
-    Span.add would apply, in order, so the rows, pivots and answers are a
-    fresh Span's.  subset_sweep holds no rows ahead: a layer block can fill
-    its span, and extend then stops, so they would mostly be wasted.  Here
-    none is: the full grid's table is unitriangular, so point rows are
-    independent and every one is stored.
+    per point of A but point 0, highest at the bottom, popped and pushed
+    as in linalg.subset_sweep.  A level holds its rank, its answer and,
+    per point below its lowest one, that point's row reduced by the
+    level's stored rows, as Span._reduce leaves it.  Mask m with lowest
+    bit b >= 1 stores point b's pending row on the parent level, adds its
+    pivot to the parent's answer and resumes a copy of each lower pending
+    row by that one row; the parent keeps its copies for m's siblings.
+    Each row gets the steps Span.add would apply, in order, so the rows,
+    pivots and answers are a fresh Span's.  subset_sweep holds no rows
+    ahead: a layer block can fill its span, and extend then stops, so they
+    would mostly be wasted.  Here none is: the full grid's table is
+    unitriangular, so point rows are independent and every pending row is
+    nonzero.
+
+    A mask whose lowest bit is point 0, half of all masks, is a leaf: no
+    point lies below it, so no row it stored would ever be read.  A leaf
+    stores nothing and pushes no level.  Its answer is the parent's plus
+    the pivot point 0's row would get, the first nonzero position of the
+    parent's pending[0]: that row is already reduced by every row of the
+    parent, and Span._store pivots a row at its first nonzero entry.  The
+    entries left unscaled there differ from the stored ones only by the
+    nonzero factors prev / q, which change no zero pattern.  A leaf m is
+    odd, so the next mask m + 1 has lowest bit b >= 1 and pops b - 1
+    levels, those of bits 1 to b - 1 of m, where a level per leaf would
+    make it pop b.  Popping one level fewer, rather than pushing a
+    placeholder, keeps only levels that are read on the stack.
     """
     exponents = tuple(grid.points())
     n = len(exponents)
+    positions = range(n)
     span = Span(n)
     rows = zip(*binomial_rows(exponents, exponents))
     stack = [(0, 0, [(list(row), [1] * n, 1) for row in rows])]
     yield 0
     for mask in range(1, 1 << n):
         b = (mask & -mask).bit_length() - 1
-        del stack[len(stack) - b :]
+        if not b:
+            _, answer, pending = stack[-1]
+            yield answer | 1 << next(compress(positions, pending[0][0]))
+            continue
+        del stack[len(stack) - b + 1 :]
         rank, answer, pending = stack[-1]
         span.truncate(rank)
         answer |= 1 << span._store(*pending[b])

@@ -8,7 +8,8 @@ reads its closures off the ranks and zstar_closure tests span
 membership, so that pair compares two exact criteria.  A mismatch is
 reported with its grid, degree and set.  The sweeps' memory is bounded
 too: the shattering sweep refuses a large grid before allocating, and
-the footprint sweep keeps nothing per mask.
+the footprint sweep keeps nothing per mask and stores a row only for a
+set without point 0.
 """
 
 import gc
@@ -30,6 +31,7 @@ from gridhilbert import (
 )
 from gridhilbert.closure import zstar_sweep
 from gridhilbert.hilbert import rank_oracle_sweep
+from gridhilbert.linalg import Span
 from gridhilbert.shattering import footprint_sweep, shattering_sweep
 
 
@@ -93,3 +95,24 @@ def test_footprint_sweep_of_16_points_peaks_below_256_kb():
     finally:
         tracemalloc.stop()
     assert peak < 256 << 10
+
+
+@pytest.mark.parametrize("arities, stores", [((2, 2, 2), 127), ((3, 4), 2047)])
+def test_footprint_sweep_stores_a_row_only_for_sets_without_point_0(
+    monkeypatch, arities, stores
+):
+    """A set holding point 0 is a leaf of the elimination tree and stores
+    nothing, so an n-point grid stores 2^(n-1) - 1 rows, one per nonempty
+    set of the points above point 0."""
+    calls = 0
+    store = Span._store
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return store(self, *args)
+
+    monkeypatch.setattr(Span, "_store", counted)
+    grid = UniformGrid(arities)
+    assert sum(1 for _ in footprint_sweep(grid)) == 1 << grid.size
+    assert calls == stores == (1 << grid.size - 1) - 1

@@ -105,8 +105,15 @@ MUTANTS = (
     Mutant(
         "bareiss-drops-final-rescale",
         "src/gridhilbert/linalg.py",
-        "(c, [x * prev // q for x, q in zip(v, scale)])",
-        "(c, v)",
+        "row[i] = v[i] * prev // scale[i]",
+        "row[i] = v[i]",
+        ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
+    ),
+    Mutant(
+        "bareiss-rescale-skips-the-pivot",
+        "src/gridhilbert/linalg.py",
+        "        for i in support:\n            row[i] = v[i] * prev // scale[i]\n",
+        "        for i in support[1:]:\n            row[i] = v[i] * prev // scale[i]\n",
         ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
     ),
     Mutant(
@@ -194,6 +201,23 @@ MUTANTS = (
         "answer |= 1 << span._store(*pending[b])",
         "answer = 1 << span._store(*pending[b])",
         ("tests/test_fibre_recursion.py::test_footprint_sweep_matches_the_fibre_recursion",),
+    ),
+    # A leaf, a set holding point 0, reads its pivot off its parent's
+    # pending row of point 0: the wrong pending row, and an answer not
+    # inherited from the parent level.
+    Mutant(
+        "footprint-leaf-reads-the-last-pending-row",
+        "src/gridhilbert/shattering.py",
+        "next(compress(positions, pending[0][0]))",
+        "next(compress(positions, pending[-1][0]))",
+        ("tests/test_sweeps.py",),
+    ),
+    Mutant(
+        "footprint-leaf-answer-not-inherited",
+        "src/gridhilbert/shattering.py",
+        "yield answer | 1 << next(compress(positions, pending[0][0]))",
+        "yield 1 << next(compress(positions, pending[0][0]))",
+        ("tests/test_sweeps.py",),
     ),
     Mutant(
         "shattering-sweep-reads-group",
