@@ -8,15 +8,15 @@ scan keeps the monomial columns that enlarge it.  Nothing here ever
 rounds.  A Bareiss step writes only the stored row's nonzero positions;
 every other entry is only rescaled, and the scale is applied once, when
 the row is stored, and only to its nonzeros, so a step costs the row's
-nonzeros, not the vector's length.  A stored row depends only on the
-rows before it, so Span.truncate(r) leaves exactly the span of the
-first r stored rows; subset_sweep uses that to visit every union of a
-list of blocks in increasing mask order with about two span operations
-per mask instead of a fresh elimination.  A reduction can be resumed
-from any stored row, and storing a reduced vector is a method of its
-own, so shattering.footprint_sweep keeps point rows reduced ahead on
-the same kernel, one Bareiss step per pending row and mask, and stores
-nothing for the masks whose rows no other mask reads.
+nonzeros, not the vector's length.  A stored row, one record of one
+list, depends only on the rows before it, so Span.truncate(r) leaves
+exactly the span of the first r stored rows; subset_sweep uses that to
+visit every union of a list of blocks in increasing mask order with
+about two span operations per mask instead of a fresh elimination.  A
+reduction can be resumed from any stored row, and storing a reduced
+vector is a method of its own, so shattering.footprint_sweep keeps point
+rows reduced ahead on the same kernel, one Bareiss step per pending row
+that a new row writes, and stores no row that no other mask would read.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  One builder,
 binomial_rows, makes every evaluation table, in the binomial basis
@@ -151,23 +151,22 @@ class Span:
     pivot positions, and by Sylvester's identity each division is exact.
 
     A step writes only the row's support, its nonzero positions from c on,
-    which _store records beside the row, and only when v[c] != 0: at every
-    other entry the update multiplies by p / prev, and these factors
-    telescope.  So _reduce keeps, per entry, the pivot entry q at which it
-    was last written (1 if never), and the entry's current value is
-    v[i] * prev // q, exact because that value is a minor.  Only _store
-    needs the values, and only at the support: it writes them into a row
-    of zeros, since a zero entry rescales to zero.  Membership needs only
-    whether every entry is zero, which no rescaling changes.  add is
-    _reduce then _store, and membership _reduce then a zero test.
+    which the row's record (c, p, support, row) in _rows holds, and only
+    when v[c] != 0: at every other entry the update multiplies by p / prev,
+    and these factors telescope.  So _reduce keeps, per entry, the pivot
+    entry q at which it was last written (1 if never), and the entry's
+    current value is v[i] * prev // q, exact because that value is a minor.
+    Only _store needs the values, and only at the support: it writes them
+    into a row of zeros, since a zero entry rescales to zero.  Membership
+    needs only whether every entry is zero, which no rescaling changes.  add
+    is _reduce then _store, and membership _reduce then a zero test.
     """
 
-    __slots__ = ("length", "_rows", "_supports")
+    __slots__ = ("length", "_rows")
 
     def __init__(self, length: int) -> None:
         self.length = length
-        self._rows: list[tuple[int, list[int]]] = []
-        self._supports: list[list[int]] = []
+        self._rows: list[tuple[int, int, list[int], list[int]]] = []
 
     @property
     def rank(self) -> int:
@@ -177,20 +176,16 @@ class Span:
         if len(v) != self.length:
             raise LengthMismatch(f"vector length {len(v)} != span length {self.length}")
 
-    def _reduce(
-        self, v: list[int], scale: list[int], prev: int = 1, start: int = 0
-    ) -> int:
-        """Reduce v in place by the stored rows from start on; the last
-        row's pivot entry.
+    def _reduce(self, v: list[int], scale: list[int], start: int = 0) -> None:
+        """Reduce v in place by the stored rows from start on.
 
         v and scale are the entries and the pivot entry at which each was
-        last written, and prev the pivot entry of the row before start, as
-        a call that stopped there left them, so a reduction can be resumed
-        when more rows are stored: a fresh vector starts with scale all 1,
-        prev 1 and start 0.
+        last written, as a call that stopped at start left them, so a
+        reduction can be resumed when more rows are stored: a fresh vector
+        starts with scale all 1 and start 0.
         """
-        for (c, row), support in zip(self._rows[start:], self._supports[start:]):
-            p = row[c]
+        prev = self._rows[start - 1][1] if start else 1
+        for c, p, support, row in self._rows[start:]:
             f = v[c]
             if f:
                 f = f * prev // scale[c]
@@ -198,9 +193,8 @@ class Span:
                     v[i] = (p * (v[i] * prev // scale[i]) - f * row[i]) // prev
                     scale[i] = p
             prev = p
-        return prev
 
-    def _store(self, v: Sequence[int], scale: Sequence[int], prev: int) -> int | None:
+    def _store(self, v: Sequence[int], scale: Sequence[int]) -> int | None:
         """Store v, reduced by every stored row as _reduce leaves it; its
         pivot position, its first nonzero entry, or None when v is zero.
 
@@ -211,11 +205,11 @@ class Span:
         if not support:
             return None
         c = support[0]
+        prev = self._rows[-1][1] if self._rows else 1
         row = [0] * len(v)
         for i in support:
             row[i] = v[i] * prev // scale[i]
-        self._rows.append((c, row))
-        self._supports.append(support)
+        self._rows.append((c, row[c], support, row))
         return c
 
     def add(self, v: Sequence[int]) -> int | None:
@@ -227,7 +221,8 @@ class Span:
         self._check_length(v)
         v = list(v)
         scale = [1] * len(v)
-        return self._store(v, scale, self._reduce(v, scale))
+        self._reduce(v, scale)
+        return self._store(v, scale)
 
     def __contains__(self, v: Sequence[int]) -> bool:
         self._check_length(v)
@@ -256,7 +251,6 @@ class Span:
                 f"cannot truncate a span of rank {len(self._rows)} to {rank}"
             )
         del self._rows[rank:]
-        del self._supports[rank:]
 
 
 def subset_sweep(

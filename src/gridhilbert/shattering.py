@@ -46,10 +46,10 @@ are the standard monomials.  It walks the sets as an elimination tree:
 a set's stack level holds the rows of the points below its lowest one
 already reduced by its own rows.  A set that holds point 0 is a leaf:
 it stores nothing and reads its pivot off its parent's row of point 0.
-Every other set costs one stored row and one Bareiss step per row
-held.  The two routes coincide on every set of grid points, and that
-equality is part of the verification surface of this package rather
-than an assumption of the code.
+Every other set costs one stored row and one Bareiss step per held row
+that the new row writes.  The two routes coincide on every set of grid
+points, and that equality is part of the verification surface of this
+package rather than an assumption of the code.
 """
 
 from __future__ import annotations
@@ -245,18 +245,19 @@ def footprint_sweep(grid: UniformGrid) -> Iterator[int]:
     positions, the lex-first column basis, are the monomials the column
     scan keeps.  The sets form an elimination tree: a stack of levels, one
     per point of A but point 0, highest at the bottom, popped and pushed
-    as in linalg.subset_sweep.  A level holds its rank, its answer and,
-    per point below its lowest one, that point's row reduced by the
-    level's stored rows, as Span._reduce leaves it.  Mask m with lowest
-    bit b >= 1 stores point b's pending row on the parent level, adds its
-    pivot to the parent's answer and resumes a copy of each lower pending
-    row by that one row; the parent keeps its copies for m's siblings.
-    Each row gets the steps Span.add would apply, in order, so the rows,
-    pivots and answers are a fresh Span's.  subset_sweep holds no rows
-    ahead: a layer block can fill its span, and extend then stops, so they
-    would mostly be wasted.  Here none is: the full grid's table is
-    unitriangular, so point rows are independent and every pending row is
-    nonzero.
+    as in linalg.subset_sweep.  A level is its answer and, per point below
+    its lowest one, that point's row (v, scale) as Span._reduce leaves it
+    after the level's stored rows, whose number is its depth.  Mask m with
+    lowest bit b >= 1 stores point b's pending row on the parent level,
+    adds its pivot c to the parent's answer and resumes a copy of each
+    lower pending row with v[c] != 0 by that row.  The parent keeps its
+    lists for m's siblings and shares each row with v[c] == 0: no list is
+    written once on a level, since Span._store only reads it and _reduce
+    runs only on fresh copies.  Each row gets Span.add's steps, in order,
+    so the rows, pivots and answers are a fresh Span's.  subset_sweep
+    holds no rows ahead: a layer block can fill its span, and extend then
+    stops, so they would mostly be wasted.  Here none is: the full grid's
+    table is unitriangular, so every pending row is nonzero.
 
     A mask whose lowest bit is point 0, half of all masks, is a leaf: no
     point lies below it, so no row it stored would ever be read.  A leaf
@@ -276,21 +277,25 @@ def footprint_sweep(grid: UniformGrid) -> Iterator[int]:
     positions = range(n)
     span = Span(n)
     rows = zip(*binomial_rows(exponents, exponents))
-    stack = [(0, 0, [(list(row), [1] * n, 1) for row in rows])]
+    stack = [(0, [(list(row), [1] * n) for row in rows])]
     yield 0
     for mask in range(1, 1 << n):
         b = (mask & -mask).bit_length() - 1
         if not b:
-            _, answer, pending = stack[-1]
+            answer, pending = stack[-1]
             yield answer | 1 << next(compress(positions, pending[0][0]))
             continue
         del stack[len(stack) - b + 1 :]
-        rank, answer, pending = stack[-1]
+        answer, pending = stack[-1]
+        rank = len(stack) - 1
         span.truncate(rank)
-        answer |= 1 << span._store(*pending[b])
+        c = span._store(*pending[b])
+        answer |= 1 << c
         lower = []
-        for v, scale, prev in pending[:b]:
-            v, scale = v[:], scale[:]
-            lower.append((v, scale, span._reduce(v, scale, prev, rank)))
-        stack.append((rank + 1, answer, lower))
+        for v, scale in pending[:b]:
+            if v[c]:
+                v, scale = v[:], scale[:]
+                span._reduce(v, scale, rank)
+            lower.append((v, scale))
+        stack.append((answer, lower))
         yield answer

@@ -228,7 +228,7 @@ def _assert_hadamard_bound(span, kept):
     """Every entry of stored row i is a minor of kept[0..i], so its square is
     at most the product of the squared Euclidean norms of those vectors."""
     bound = 1
-    for (_, row), v in zip(span._rows, kept):
+    for (*_, row), v in zip(span._rows, kept):
         bound *= sum(a * a for a in v)
         assert max(a * a for a in row) <= bound, (kept, row)
 
@@ -279,6 +279,28 @@ def test_truncate_leaves_the_span_of_the_rows_kept():
             span.truncate(bad)
 
 
+def test_a_reduction_resumed_at_a_stored_row_stores_what_add_stores():
+    """_reduce can stop at stored row r and resume there once more rows
+    are stored, as the footprint sweep does; the row _store then keeps,
+    and its pivot, are the ones add keeps for the same vector."""
+    for length, vectors, probes in _random_cases():
+        fresh = Span(length)
+        kept = [v for v in vectors if fresh.add(v) is not None]
+        for v in probes:
+            want = fresh.add(v)
+            for r in range(len(kept) + 1):
+                span = Span(length)
+                span.extend(kept[:r])
+                w, scale = list(v), [1] * length
+                span._reduce(w, scale)
+                span.extend(kept[r:])
+                span._reduce(w, scale, r)
+                assert span._store(w, scale) == want, (kept, v, r)
+                assert span._rows == fresh._rows, (kept, v, r)
+            if want is not None:
+                fresh.truncate(len(kept))
+
+
 class _DenseBareiss:
     """Reference span: Bareiss's two-term update applied to every entry of
     the vector at every stored row, with no support or scale bookkeeping."""
@@ -298,6 +320,14 @@ class _DenseBareiss:
         return c
 
 
+def _pivots_and_rows(span):
+    """The (c, row) pairs of span's records, after checking that each
+    record's pivot entry and support are its row's."""
+    for c, p, support, row in span._rows:
+        assert p == row[c] and support == [i for i, a in enumerate(row) if a]
+    return [(c, row) for c, _, _, row in span._rows]
+
+
 def test_stored_rows_match_the_dense_bareiss_reference():
     """Span writes only a stored row's support and rescales the other
     entries lazily; its stored rows must be the dense update's integers."""
@@ -305,7 +335,7 @@ def test_stored_rows_match_the_dense_bareiss_reference():
     def feed(span, ref, vectors):
         for v in vectors:
             assert span.add(v) == ref.add(v)
-            assert span._rows == ref.rows, (vectors, v)
+            assert _pivots_and_rows(span) == ref.rows, (vectors, v)
 
     for length, vectors, probes in _random_cases():
         span, ref = Span(length), _DenseBareiss()
@@ -326,7 +356,7 @@ def test_stored_rows_match_the_dense_bareiss_reference():
             for w in weights:
                 for v in layers[w]:
                     ref.add(v)
-            assert span._rows == ref.rows, (arities, d, weights)
+            assert _pivots_and_rows(span) == ref.rows, (arities, d, weights)
 
 
 def test_row_pivots_are_the_greedy_column_basis():
@@ -462,7 +492,7 @@ def test_binomial_table_is_unitriangular_and_its_spans_stay_at_one_bit():
         for d in range(N + 1):
             span, _ = layer_span(grid, d, range(N + 1))
             assert span.rank == sum(grid.layer_sizes[: d + 1])
-            entries = {a for _, row in span._rows for a in row}
+            entries = {a for *_, row in span._rows for a in row}
             assert entries <= {-1, 0, 1}, (grid.spec(), d, max(map(abs, entries)))
 
 

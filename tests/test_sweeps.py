@@ -8,8 +8,9 @@ reads its closures off the ranks and zstar_closure tests span
 membership, so that pair compares two exact criteria.  A mismatch is
 reported with its grid, degree and set.  The sweeps' memory is bounded
 too: the shattering sweep refuses a large grid before allocating, and
-the footprint sweep keeps nothing per mask and stores a row only for a
-set without point 0.
+the footprint sweep keeps nothing per mask, stores a row only for a set
+without point 0 and takes a Bareiss step only on a pending row that the
+new row writes.
 """
 
 import gc
@@ -97,22 +98,30 @@ def test_footprint_sweep_of_16_points_peaks_below_256_kb():
     assert peak < 256 << 10
 
 
-@pytest.mark.parametrize("arities, stores", [((2, 2, 2), 127), ((3, 4), 2047)])
+@pytest.mark.parametrize(
+    "arities, stores, reduces", [((2, 2, 2), 127, 155), ((3, 4), 2047, 2771)]
+)
 def test_footprint_sweep_stores_a_row_only_for_sets_without_point_0(
-    monkeypatch, arities, stores
+    monkeypatch, arities, stores, reduces
 ):
     """A set holding point 0 is a leaf of the elimination tree and stores
     nothing, so an n-point grid stores 2^(n-1) - 1 rows, one per nonempty
-    set of the points above point 0."""
-    calls = 0
-    store = Span._store
+    set of the points above point 0.  A pending row that the new row does
+    not write is shared with the parent level and costs no Bareiss step."""
+    calls = {"_store": 0, "_reduce": 0}
 
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
-        return store(self, *args)
+    def counted(name):
+        method = getattr(Span, name)
 
-    monkeypatch.setattr(Span, "_store", counted)
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(Span, name, wrapper)
+
+    counted("_store")
+    counted("_reduce")
     grid = UniformGrid(arities)
     assert sum(1 for _ in footprint_sweep(grid)) == 1 << grid.size
-    assert calls == stores == (1 << grid.size - 1) - 1
+    assert calls["_store"] == stores == (1 << grid.size - 1) - 1
+    assert calls["_reduce"] == reduces

@@ -1,8 +1,10 @@
 import dataclasses
 import importlib.util
-import subprocess
 import sys
 from pathlib import Path
+
+from gridhilbert import verify
+from gridhilbert.verify import SUITES, Limits, SuiteResult
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,34 +34,30 @@ def test_a_selection_of_a_missing_file_is_stale():
     ]
 
 
-def test_fingerprint_at_8_points():
-    """The tool runs on this tree: one line per quantity, the two
-    point-set sweeps hash to one digest, since criterion 10 says they
-    agree, and each suite's count is its checked count."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "fingerprint.py"), "--max-points", "8"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    rows = [line.split() for line in done.stdout.splitlines()]
-    assert [(name, int(count)) for name, count, _ in rows] == [
+def test_fingerprint_at_8_points(monkeypatch, capsys):
+    """The tool runs on this tree, in process: one line per quantity, the
+    two point-set sweeps hash to one digest, since criterion 10 says they
+    agree, and each suite is run once at Limits(), in SUITES order.  The
+    suites are recorded, not run: tests/test_acceptance.py pins their
+    checked counts."""
+    calls = []
+
+    def recorder(name, limits):
+        calls.append((name, limits))
+        return SuiteResult(name, True, 0)
+
+    monkeypatch.setattr(verify, "verify_suite", recorder)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert fingerprint.main(["--max-points", "8"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [(name, int(count)) for name, count, _ in rows[:4]] == [
         ("shattering_sweep", 13),
         ("footprint_sweep", 13),
         ("rank_oracle_sweep", 108),
         ("zstar_sweep", 108),
-        ("verify:grid-hilbert", 10104),
-        ("verify:cube", 1536),
-        ("verify:wilson", 37),
-        ("verify:up-rank", 88),
-        ("verify:factorization", 4378),
-        ("verify:tail-collapse", 103),
-        ("verify:interval-rank", 4000),
-        ("verify:zstar-lbar", 9856),
-        ("verify:closure-laws", 214200),
-        ("verify:shattering", 207432),
-        ("verify:layers", 228),
-        ("verify:digression", 4),
     ]
+    assert [name for name, _, _ in rows[4:]] == [f"verify:{name}" for name in SUITES]
+    assert calls == [(name, Limits()) for name in SUITES]
     assert rows[0][2] == rows[1][2]
     assert all(len(digest) == 64 for _, _, digest in rows)
 

@@ -117,11 +117,30 @@ MUTANTS = (
         ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
     ),
     Mutant(
-        "truncate-leaves-supports",
+        "truncate-keeps-one-row-more",
         "src/gridhilbert/linalg.py",
-        "        del self._supports[rank:]\n",
-        "",
+        "        del self._rows[rank:]\n",
+        "        del self._rows[rank + 1:]\n",
+        ("tests/test_linalg.py::test_truncate_leaves_the_span_of_the_rows_kept",),
+    ),
+    # The previous row's pivot entry is read off the stored records: _store
+    # reading the first record's, and a resumed _reduce starting from 1.
+    Mutant(
+        "store-reads-first-pivot-entry",
+        "src/gridhilbert/linalg.py",
+        "prev = self._rows[-1][1] if self._rows else 1",
+        "prev = self._rows[0][1] if self._rows else 1",
         ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
+    ),
+    Mutant(
+        "reduce-resumes-from-prev-1",
+        "src/gridhilbert/linalg.py",
+        "prev = self._rows[start - 1][1] if start else 1",
+        "prev = 1",
+        (
+            "tests/test_linalg.py::"
+            "test_a_reduction_resumed_at_a_stored_row_stores_what_add_stores",
+        ),
     ),
     Mutant(
         "cut-masks-le",
@@ -181,25 +200,32 @@ MUTANTS = (
     Mutant(
         "footprint-drops-first-pivot",
         "src/gridhilbert/shattering.py",
-        "answer |= 1 << span._store(*pending[b])",
-        "answer |= bool(rank) << span._store(*pending[b])",
+        "answer |= 1 << c",
+        "answer |= bool(rank) << c",
         ("tests/test_sweeps.py",),
     ),
     # The footprint sweep's elimination tree: a lower point's pending row
-    # left unreduced by the new row, and an answer not inherited from the
-    # parent level.
+    # left unreduced by the new row, one that the new row writes shared
+    # with the parent level, and an answer not inherited from the parent.
     Mutant(
         "footprint-lower-rows-not-reduced",
         "src/gridhilbert/shattering.py",
-        "lower.append((v, scale, span._reduce(v, scale, prev, rank)))",
-        "lower.append((v, scale, prev))",
+        "                span._reduce(v, scale, rank)\n",
+        "",
+        ("tests/test_fibre_recursion.py::test_footprint_sweep_matches_the_fibre_recursion",),
+    ),
+    Mutant(
+        "footprint-shares-a-written-row",
+        "src/gridhilbert/shattering.py",
+        "            if v[c]:\n",
+        "            if not v[c]:\n",
         ("tests/test_fibre_recursion.py::test_footprint_sweep_matches_the_fibre_recursion",),
     ),
     Mutant(
         "footprint-answer-not-inherited",
         "src/gridhilbert/shattering.py",
-        "answer |= 1 << span._store(*pending[b])",
-        "answer = 1 << span._store(*pending[b])",
+        "answer |= 1 << c",
+        "answer = 1 << c",
         ("tests/test_fibre_recursion.py::test_footprint_sweep_matches_the_fibre_recursion",),
     ),
     # A leaf, a set holding point 0, reads its pivot off its parent's
