@@ -11,7 +11,6 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from functools import lru_cache
@@ -135,7 +134,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             sys.stdout.flush()
     failed = sum(not r.passed for r in results)
     if args.json:
-        print(json.dumps({"suites": [dataclasses.asdict(r) for r in results]}))
+        print(json.dumps({"suites": [r._asdict() for r in results]}))
     elif failed:
         print(f"{failed} of {len(results)} suites failed")
     return 2 if failed else 0

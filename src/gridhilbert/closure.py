@@ -18,9 +18,8 @@ so the agreement is observable rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import WeightOutOfRange
 from .grid import Point, UniformGrid, _in_range, check_degree, check_weight_set
@@ -103,8 +102,7 @@ def zstar_sweep(grid: UniformGrid, d: int) -> Iterator[frozenset[int]]:
         yield frozenset(j for j in weights if ranks[mask | 1 << j] == r)
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Both closure routes for one input, plus the step count to the fixpoint."""
 
     input: tuple[int, ...]

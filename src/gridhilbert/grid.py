@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -50,21 +49,41 @@ def check_weight_set(weights: Iterable[int], top: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
+def _immutable(self: object, name: str, *value: object) -> None:
+    """__setattr__ and __delattr__ of the immutable value classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+
 class UniformGrid:
     """Product of the ranges [0, k_i - 1] for arities k_i >= 2, given as any
-    iterable and stored as a tuple."""
+    iterable and stored as a tuple.
+
+    Immutable, and equal only to a grid with the same arities in the same
+    order.  cached_property writes the instance __dict__, past __setattr__.
+    """
 
     arities: tuple[int, ...]
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.arities, tuple):
-            object.__setattr__(self, "arities", tuple(self.arities))
-        if not self.arities:
+    def __init__(self, arities: Iterable[int]) -> None:
+        arities = tuple(arities)
+        if not arities:
             raise EmptyArities("a grid needs at least one coordinate")
-        for k in self.arities:
+        for k in arities:
             if not isinstance(k, int) or k < 2:
                 raise AritySmallerThanTwo(f"arity {k!r} is smaller than two")
+        vars(self)["arities"] = arities
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arities == other.arities
+
+    def __hash__(self) -> int:
+        return hash(self.arities)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(arities={self.arities!r})"
 
     @property
     def dimension(self) -> int:

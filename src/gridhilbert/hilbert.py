@@ -19,9 +19,8 @@ points, so no table layout is known here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -33,8 +32,7 @@ from .errors import (
 from .grid import UniformGrid, check_degree, check_weight_set
 
 
-@dataclass(frozen=True)
-class BEEnumeration:
+class BEEnumeration(NamedTuple):
     """Pairing data for a degree d and weight set E inside [0, N].
 
     t_desc lists [0, d] minus E in decreasing order, w_asc lists E minus

@@ -46,15 +46,14 @@ rank, from its columns added left to right to a Span.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import comb, factorial, prod
 from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DuplicateEntries, LengthMismatch
-from .grid import Point, UniformGrid, check_degree, check_weight_set
+from .grid import Point, UniformGrid, _immutable, check_degree, check_weight_set
 
 # Cache bound per grid: a sweep uses one grid at a time.  In one process,
 # a default "verify all" hit _shatter_tables 1,533 of 1,568 calls; the
@@ -85,24 +84,48 @@ def falling_factorial_value(alpha: Sequence[int], beta: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
-    """Dense exact matrix with duplicate-free grid-point labels."""
+    """Dense exact matrix with duplicate-free grid-point labels; immutable,
+    and equal only to a matrix with the same labels and entries."""
 
     row_labels: tuple[Point, ...]
     col_labels: tuple[Point, ...]
     entries: tuple[tuple[int, ...], ...]
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        if len(set(self.row_labels)) != len(self.row_labels):
+    def __init__(
+        self,
+        row_labels: tuple[Point, ...],
+        col_labels: tuple[Point, ...],
+        entries: tuple[tuple[int, ...], ...],
+    ) -> None:
+        if len(set(row_labels)) != len(row_labels):
             raise DuplicateEntries("duplicate row labels")
-        if len(set(self.col_labels)) != len(self.col_labels):
+        if len(set(col_labels)) != len(col_labels):
             raise DuplicateEntries("duplicate column labels")
-        if len(self.entries) != len(self.row_labels):
+        if len(entries) != len(row_labels):
             raise LengthMismatch("entry rows do not match row labels")
-        for row in self.entries:
-            if len(row) != len(self.col_labels):
+        for row in entries:
+            if len(row) != len(col_labels):
                 raise LengthMismatch("entry row does not match column labels")
+        vars(self).update(row_labels=row_labels, col_labels=col_labels, entries=entries)
+
+    def _key(self) -> tuple:
+        return self.row_labels, self.col_labels, self.entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(row_labels={self.row_labels!r}, "
+            f"col_labels={self.col_labels!r}, entries={self.entries!r})"
+        )
 
     @property
     def n_rows(self) -> int:
@@ -135,8 +158,7 @@ class ExactMatrix:
         return [" ".join(str(e) for e in row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     rank: int
 
 

@@ -43,16 +43,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import closure, hilbert, linalg, shattering
 from .errors import UnknownSuite
 from .grid import UniformGrid
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     """Size caps and seeds bounding the verification sweeps."""
 
     max_points: int = 36
@@ -65,8 +63,7 @@ _INTERVAL_SAMPLES = 200
 _SHATTER_SAMPLES = 500
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     checked: int
@@ -74,7 +71,7 @@ class SuiteResult:
 
 
 def verification_family(
-    max_points: int = Limits.max_points, max_cube: int = Limits.max_cube
+    max_points: int = Limits().max_points, max_cube: int = Limits().max_cube
 ) -> tuple[UniformGrid, ...]:
     """The default grid family, smallest first.
 

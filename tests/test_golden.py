@@ -27,7 +27,6 @@ and once per distinct closure of each degree, with unchanged results.
 """
 
 import collections
-import dataclasses
 import hashlib
 import shlex
 from pathlib import Path
@@ -384,7 +383,7 @@ def _rank_short(mp):
         result = original(matrix)
         if matrix.row_labels != ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
             return result
-        return dataclasses.replace(result, rank=result.rank - 1)
+        return result._replace(rank=result.rank - 1)
 
     mp.setattr(linalg, "rank", patched)
 

@@ -37,9 +37,9 @@ def test_a_selection_of_a_missing_file_is_stale():
 def test_fingerprint_at_8_points(monkeypatch, capsys):
     """The tool runs on this tree, in process: one line per quantity, the
     two point-set sweeps hash to one digest, since criterion 10 says they
-    agree, and each suite is run once at Limits(), in SUITES order.  The
-    suites are recorded, not run: tests/test_acceptance.py pins their
-    checked counts."""
+    agree, and each suite is run once at Limits(), in SUITES order, then
+    each seeded suite at the second seed.  The suites are recorded, not
+    run: tests/test_acceptance.py pins their checked counts."""
     calls = []
 
     def recorder(name, limits):
@@ -56,8 +56,12 @@ def test_fingerprint_at_8_points(monkeypatch, capsys):
         ("rank_oracle_sweep", 108),
         ("zstar_sweep", 108),
     ]
-    assert [name for name, _, _ in rows[4:]] == [f"verify:{name}" for name in SUITES]
-    assert calls == [(name, Limits()) for name in SUITES]
+    second = [(name, Limits(seed=5303)) for name in ("interval-rank", "shattering")]
+    assert [name for name, _, _ in rows[4:]] == [
+        *(f"verify:{name}" for name in SUITES),
+        *(f"verify@5303:{name}" for name, _ in second),
+    ]
+    assert calls == [(name, Limits()) for name in SUITES] + second
     assert rows[0][2] == rows[1][2]
     assert all(len(digest) == 64 for _, _, digest in rows)
 

@@ -17,6 +17,11 @@ the sha256 of their answers.
     verify:<suite>                      the SuiteResult of each suite of
         ``verify all`` at ``Limits()``, counterexample included; the
         count is the suite's ``checked``.
+    verify@5303:<suite>                 the same for the two seeded
+        suites, interval-rank and shattering, at a second seed.  A
+        passing SuiteResult holds only the suite's name, verdict and
+        count, so these lines show that the draws of the second seed
+        pass with the same counts, not which items were drawn.
 
 ``--against REV`` unpacks ``git archive REV`` into a temporary directory,
 runs this same file on that tree's ``src`` (``--src``), and prints the
@@ -39,6 +44,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The suites that draw from Limits.seed, rerun at SECOND_SEED.
+SEEDED_SUITES = ("interval-rank", "shattering")
+SECOND_SEED = 5303
 
 
 def arity_tuples(max_points: int) -> list[tuple[int, ...]]:
@@ -91,10 +99,13 @@ def fingerprint(max_points: int) -> list[str]:
     lines = []
     for name, items in quantities.items():
         count, digest = _digest(items)
-        lines.append(f"{name:24s} {count:>7d} {digest}")
-    for name in SUITES:
-        result = verify_suite(name, Limits())
-        lines.append(f"{'verify:' + name:24s} {result.checked:>7d} {_digest([result])[1]}")
+        lines.append(f"{name:25s} {count:>7d} {digest}")
+    second = Limits(seed=SECOND_SEED)
+    runs = [("verify:", name, Limits()) for name in SUITES]
+    runs += [(f"verify@{SECOND_SEED}:", name, second) for name in SEEDED_SUITES]
+    for prefix, name, limits in runs:
+        result = verify_suite(name, limits)
+        lines.append(f"{prefix + name:25s} {result.checked:>7d} {_digest([result])[1]}")
     return lines
 
 

@@ -75,6 +75,23 @@ MUTANTS = (
         "all(sizes[j] <= sizes[j + 1] for j in range(self.max_weight // 2))",
         ("tests/test_grid.py",),
     ),
+    # UniformGrid is a plain class with hand-written dunders: an equality
+    # blind to the order of the arities, and a grid whose attributes can
+    # be assigned.
+    Mutant(
+        "grid-eq-ignores-coordinate-order",
+        "src/gridhilbert/grid.py",
+        "        return self.arities == other.arities\n",
+        "        return sorted(self.arities) == sorted(other.arities)\n",
+        ("tests/test_values.py::test_a_grid_is_an_immutable_value_not_a_tuple",),
+    ),
+    Mutant(
+        "grid-assignment-allowed",
+        "src/gridhilbert/grid.py",
+        "    __setattr__ = __delattr__ = _immutable\n",
+        "    __delattr__ = _immutable\n",
+        ("tests/test_values.py::test_a_grid_is_an_immutable_value_not_a_tuple",),
+    ),
     Mutant(
         "wilson-w-before-d",
         "src/gridhilbert/verify.py",
