@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -312,32 +313,52 @@ MUTANTS = (
     Mutant(
         "runner-counts-only-passing-checks",
         "src/gridhilbert/verify.py",
-        "            checked += 1\n"
-        "            if counterexample is not None:\n"
-        "                return SuiteResult(name, False, checked, counterexample)\n",
-        "            if counterexample is not None:\n"
-        "                return SuiteResult(name, False, checked, counterexample)\n"
-        "            checked += 1\n",
+        "        checked += n\n",
+        "        checked += n - (counterexample is not None)\n",
         ("tests/test_golden.py",),
     ),
     Mutant(
         "runner-keeps-last-failure",
         "src/gridhilbert/verify.py",
         "    checked = 0\n"
-        "    for grid in grids(limits):\n"
-        "        for counterexample in checks(grid, limits):\n"
-        "            checked += 1\n"
-        "            if counterexample is not None:\n"
-        "                return SuiteResult(name, False, checked, counterexample)\n"
+        "    for i, grid in enumerate(family):\n"
+        "        if i not in records:\n"
+        "            raise RuntimeError(f\"suite {name!r}: no record for grid {grid.spec()}\")\n"
+        "        _, n, counterexample, raised = records[i]\n"
+        "        if raised:\n"
+        "            n, counterexample = _run_grid(checks, grid, limits)\n"
+        "        checked += n\n"
+        "        if counterexample is not None:\n"
+        "            return SuiteResult(name, False, checked, counterexample)\n"
         "    return SuiteResult(name, True, checked)\n",
         "    checked, last = 0, None\n"
-        "    for grid in grids(limits):\n"
-        "        for counterexample in checks(grid, limits):\n"
-        "            checked += 1\n"
-        "            if counterexample is not None:\n"
-        "                last = SuiteResult(name, False, checked, counterexample)\n"
+        "    for i, grid in enumerate(family):\n"
+        "        if i not in records:\n"
+        "            break\n"
+        "        _, n, counterexample, raised = records[i]\n"
+        "        if raised:\n"
+        "            n, counterexample = _run_grid(checks, grid, limits)\n"
+        "        checked += n\n"
+        "        if counterexample is not None:\n"
+        "            last = SuiteResult(name, False, checked, counterexample)\n"
         "    return last or SuiteResult(name, True, checked)\n",
         ("tests/test_golden.py",),
+    ),
+    # The grids are split into shards that run in separate processes; the
+    # merge must walk the family in order, over every child's records.
+    Mutant(
+        "runner-merges-in-shard-order",
+        "src/gridhilbert/verify.py",
+        "    for i, grid in enumerate(family):\n",
+        "    for i, grid in [(r[0], family[r[0]]) for run in runs for r in run]:\n",
+        ("tests/test_runner.py",),
+    ),
+    Mutant(
+        "runner-drops-child-records",
+        "src/gridhilbert/verify.py",
+        "        runs.append(marshal.loads(blob))\n",
+        "        marshal.loads(blob)\n",
+        ("tests/test_runner.py",),
     ),
     Mutant(
         "emitter-prints-text-under-json",
@@ -573,14 +594,20 @@ def _pytest(tree: Path, tests) -> tuple[bool, float, str]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
+    # Its own session, so that a timeout kills pytest and every process it
+    # forked: a suite's shard child holds the output pipes open too.
+    proc = subprocess.Popen(
+        cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
     try:
-        done = subprocess.run(
-            cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S
-        )
+        out, _ = proc.communicate(timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
         return False, time.perf_counter() - start, f"timeout after {TIMEOUT_S} s"
-    lines = done.stdout.decode(errors="replace").strip().splitlines() or [""]
-    return done.returncode == 0, time.perf_counter() - start, lines[-1]
+    lines = out.decode(errors="replace").strip().splitlines() or [""]
+    return proc.returncode == 0, time.perf_counter() - start, lines[-1]
 
 
 def _stale(mutants) -> list[str]:
