@@ -12,11 +12,10 @@ nonzeros, not the vector's length.  A stored row, one record of one
 list, depends only on the rows before it, so Span.truncate(r) leaves
 exactly the span of the first r stored rows; subset_sweep uses that to
 visit every union of a list of blocks in increasing mask order with
-about two span operations per mask instead of a fresh elimination.  A
-reduction can be resumed from any stored row, and storing a reduced
-vector is a method of its own, so shattering.footprint_sweep keeps point
-rows reduced ahead on the same kernel, one Bareiss step per pending row
-that a new row writes, and stores no row that no other mask would read.
+about two span operations per mask instead of a fresh elimination.
+pivot_sweep, the footprint sweep's walk, visits every subset of a list
+of independent rows the same way, keeping each lower row reduced ahead,
+one Bareiss step per stored row that writes it.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  One builder,
 binomial_rows, makes every evaluation table, in the binomial basis
@@ -296,6 +295,66 @@ def subset_sweep(
         span.extend(blocks[b])
         floors.append(span.rank)
         yield mask
+
+
+def pivot_sweep(rows: Sequence[Sequence[int]]) -> Iterator[int]:
+    """For every mask in range(1 << len(rows)), in increasing order, the
+    pivot positions, as a mask, of a Span fed the rows whose bits are set.
+    The rows are linearly independent and of one length.
+
+    The sets form an elimination tree: a stack of levels, one per row of
+    the set but row 0, highest at the bottom, popped and pushed as in
+    subset_sweep.  A level is its answer and, per row below its lowest
+    one, that row (v, scale) as _reduce leaves it after the level's stored
+    rows, whose number is its depth.  Mask m with lowest bit b >= 1 stores
+    row b's pending row on the parent level, adds its pivot c to the
+    parent's answer and resumes a copy of each lower pending row with
+    v[c] != 0 by that row.  The parent keeps its lists for m's siblings
+    and shares each row with v[c] == 0: no list is written once on a
+    level, since _store only reads it and _reduce runs only on fresh
+    copies.  Each row gets add's steps, in order, so the rows, pivots and
+    answers are a fresh Span's.  subset_sweep holds no rows ahead, since a
+    block can fill its span and extend then stops; here every pending row
+    is nonzero, since the rows are independent.
+
+    A mask whose lowest bit is row 0, half of all masks, is a leaf: no row
+    lies below it, so no row it stored would ever be read.  A leaf stores
+    nothing and pushes no level.  Its answer is the parent's plus the
+    pivot row 0 would get, the first nonzero position of the parent's
+    pending[0]: that row is already reduced by every row of the parent,
+    and _store pivots a row at its first nonzero entry.  The entries left
+    unscaled there differ from the stored ones only by the nonzero factors
+    prev / q, which change no zero pattern.  A leaf m is odd, so the next
+    mask m + 1 has lowest bit b >= 1 and pops b - 1 levels, those of bits 1
+    to b - 1 of m, where a level per leaf would make it pop b.  Popping one
+    level fewer, rather than pushing a placeholder, keeps only levels that
+    are read on the stack.
+    """
+    n = len(rows)
+    positions = range(len(rows[0]) if rows else 0)
+    span = Span(len(positions))
+    stack = [(0, [(list(row), [1] * len(positions)) for row in rows])]
+    yield 0
+    for mask in range(1, 1 << n):
+        b = (mask & -mask).bit_length() - 1
+        if not b:
+            answer, pending = stack[-1]
+            yield answer | 1 << next(compress(positions, pending[0][0]))
+            continue
+        del stack[len(stack) - b + 1 :]
+        answer, pending = stack[-1]
+        rank = len(stack) - 1
+        span.truncate(rank)
+        c = span._store(*pending[b])
+        answer |= 1 << c
+        lower = []
+        for v, scale in pending[:b]:
+            if v[c]:
+                v, scale = v[:], scale[:]
+                span._reduce(v, scale, rank)
+            lower.append((v, scale))
+        stack.append((answer, lower))
+        yield answer
 
 
 def rank(matrix: ExactMatrix) -> RankResult:

@@ -38,16 +38,11 @@ exponents: the falling factorial x^(alpha) is x^alpha plus multiples of
 x^beta with beta <= alpha componentwise and beta != alpha, each
 lex-smaller than alpha, so the first m exponents in lex order span the
 same column space in either basis, and dividing each column by the
-nonzero alpha! changes no span.  The footprint sweep
-gives the same sets, as masks, for every point set of a grid in mask
-order by plain linear algebra: each point adds its row of all grid
-binomials to one Span, and the row pivots, the lex-first column basis,
-are the standard monomials.  It walks the sets as an elimination tree:
-a set's stack level holds the rows of the points below its lowest one
-already reduced by its own rows.  A set that holds point 0 is a leaf:
-it stores nothing and reads its pivot off its parent's row of point 0.
-Every other set costs one stored row and one Bareiss step per held row
-that the new row writes.  The two routes coincide on every set of grid
+nonzero alpha! changes no span.  The footprint sweep gives the same
+sets, as masks, for every point set of a grid in mask order by plain
+linear algebra: it feeds each point's row of all grid binomials to
+linalg.pivot_sweep, and the row pivots, the lex-first column basis, are
+the standard monomials.  The two routes coincide on every set of grid
 points, and that equality is part of the verification surface of this
 package rather than an assumption of the code.
 """
@@ -57,12 +52,11 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import EmptyMultiset, GridTooLarge
 from .grid import Point, UniformGrid
-from .linalg import _GRID_CACHE_SIZE, Span, binomial_rows
+from .linalg import _GRID_CACHE_SIZE, Span, binomial_rows, pivot_sweep
 
 
 def tau(b: Iterable[int]) -> int:
@@ -239,63 +233,9 @@ def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point
 def footprint_sweep(grid: UniformGrid) -> Iterator[int]:
     """standard_monomials(grid, A) as a mask, for every point set A in mask
     order.  Bit i of a mask, both of A's and of the answer, is the i-th
-    grid point in lex order.
-
-    Each point of A adds its full binomial row to one Span, whose pivot
-    positions, the lex-first column basis, are the monomials the column
-    scan keeps.  The sets form an elimination tree: a stack of levels, one
-    per point of A but point 0, highest at the bottom, popped and pushed
-    as in linalg.subset_sweep.  A level is its answer and, per point below
-    its lowest one, that point's row (v, scale) as Span._reduce leaves it
-    after the level's stored rows, whose number is its depth.  Mask m with
-    lowest bit b >= 1 stores point b's pending row on the parent level,
-    adds its pivot c to the parent's answer and resumes a copy of each
-    lower pending row with v[c] != 0 by that row.  The parent keeps its
-    lists for m's siblings and shares each row with v[c] == 0: no list is
-    written once on a level, since Span._store only reads it and _reduce
-    runs only on fresh copies.  Each row gets Span.add's steps, in order,
-    so the rows, pivots and answers are a fresh Span's.  subset_sweep
-    holds no rows ahead: a layer block can fill its span, and extend then
-    stops, so they would mostly be wasted.  Here none is: the full grid's
-    table is unitriangular, so every pending row is nonzero.
-
-    A mask whose lowest bit is point 0, half of all masks, is a leaf: no
-    point lies below it, so no row it stored would ever be read.  A leaf
-    stores nothing and pushes no level.  Its answer is the parent's plus
-    the pivot point 0's row would get, the first nonzero position of the
-    parent's pending[0]: that row is already reduced by every row of the
-    parent, and Span._store pivots a row at its first nonzero entry.  The
-    entries left unscaled there differ from the stored ones only by the
-    nonzero factors prev / q, which change no zero pattern.  A leaf m is
-    odd, so the next mask m + 1 has lowest bit b >= 1 and pops b - 1
-    levels, those of bits 1 to b - 1 of m, where a level per leaf would
-    make it pop b.  Popping one level fewer, rather than pushing a
-    placeholder, keeps only levels that are read on the stack.
+    grid point in lex order, and so is row i, point i's values under every
+    grid binomial: the full grid's table is unitriangular, so the rows are
+    independent, as linalg.pivot_sweep asks.
     """
     exponents = tuple(grid.points())
-    n = len(exponents)
-    positions = range(n)
-    span = Span(n)
-    rows = zip(*binomial_rows(exponents, exponents))
-    stack = [(0, [(list(row), [1] * n) for row in rows])]
-    yield 0
-    for mask in range(1, 1 << n):
-        b = (mask & -mask).bit_length() - 1
-        if not b:
-            answer, pending = stack[-1]
-            yield answer | 1 << next(compress(positions, pending[0][0]))
-            continue
-        del stack[len(stack) - b + 1 :]
-        answer, pending = stack[-1]
-        rank = len(stack) - 1
-        span.truncate(rank)
-        c = span._store(*pending[b])
-        answer |= 1 << c
-        lower = []
-        for v, scale in pending[:b]:
-            if v[c]:
-                v, scale = v[:], scale[:]
-                span._reduce(v, scale, rank)
-            lower.append((v, scale))
-        stack.append((answer, lower))
-        yield answer
+    yield from pivot_sweep(tuple(zip(*binomial_rows(exponents, exponents))))

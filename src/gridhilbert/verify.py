@@ -8,7 +8,9 @@ A payload is built only on failure.  It is a plain dict ready for JSON
 emission, with values that can exceed 64 bits (ranks, layer sizes,
 Hilbert values) rendered as decimal strings.  A law's preconditions (an
 su2 grid, a size bound) are early returns inside its generator, so any
-generator can be run on any grid, also one outside the family.
+generator but cube's and digression's, which are tied to the binary
+cubes and to the 3x3 grid, can be run on any grid, also one outside the
+family.
 
 verify_suite is the one runner.  Its answer is that of walking the
 suite's grids in order, counting the items and stopping at the first
@@ -29,11 +31,10 @@ those ranks; closure-laws holds its grid's tables, one per degree and
 indexed by mask, for the grid's checks only.  Shattering compares
 ord_str with standard_monomials: on grids of at most 16 points through
 their sweeps, shattering_sweep and footprint_sweep, which answer every
-point set in mask order as an integer mask, the footprint side from an
-elimination tree whose levels also hold the lower points' rows already
-reduced; on grids of 17 to 27 points
-one call each per seeded point set, compared as the point sets they
-return.  Either way the counts and first counterexample are the routes'.
+point set in mask order as an integer mask, the footprint side from
+linalg.pivot_sweep's elimination tree; on grids of 17 to 27 points one
+call each per seeded point set, compared as the point sets they return.
+Either way the counts and first counterexample are the routes'.
 
 Two suites ask a repeated exact question once, in a dict that lives as
 long as one grid's generator: interval-rank ranks each distinct drawn

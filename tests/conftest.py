@@ -5,8 +5,12 @@ import sys
 
 from gridhilbert import verification_family
 from gridhilbert.cli import main
+from gridhilbert.verify import SUITES, Limits, SuiteResult
 
 FAMILY = frozenset(grid.arities for grid in verification_family())
+SMALL = Limits(max_points=8, max_cube=3)
+# The sweep_rank workload's limits (bench/workloads.py).
+SWEEP_RANK = Limits(max_points=18, max_cube=5)
 
 
 @functools.cache
@@ -31,6 +35,20 @@ def off_family(max_points, max_arity, reorderings):
 def mask_points(pts, mask):
     """The points pts[i] for the set bits i of mask, in the order of pts."""
     return [p for i, p in enumerate(pts) if mask >> i & 1]
+
+
+def serial(name, limits):
+    """The reference SuiteResult: the suite's checks run grid by grid in
+    this process, stopping at the first counterexample, as the runner did
+    before it split the grids across processes."""
+    grids, checks = SUITES[name]
+    checked = 0
+    for grid in grids(limits):
+        for counterexample in checks(grid, limits):
+            checked += 1
+            if counterexample is not None:
+                return SuiteResult(name, False, checked, counterexample)
+    return SuiteResult(name, True, checked)
 
 
 def run_cli(capsys, argv):

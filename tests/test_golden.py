@@ -23,7 +23,10 @@ payload without running the whole suite.
 The call-count pins count the exact questions the rank suites ask on
 the benchmark's sweep_rank limits: interval-rank ranks each distinct
 block once per grid, and closure-laws asks hilbert_closed once per set
-and once per distinct closure of each degree, with unchanged results.
+and once per distinct closure of each degree, with unchanged results.  The
+calls are counted while conftest.serial runs the suite in this process:
+verify_suite runs some grids in child processes, whose calls a spy here
+does not see.
 """
 
 import collections
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_cli
+from conftest import SMALL, SWEEP_RANK, run_cli, serial
 
 from gridhilbert import UniformGrid, closure, hilbert, linalg, shattering, verify
 from gridhilbert.verify import Limits, SuiteResult, verify_suite
@@ -321,9 +324,6 @@ def test_cli_error_line(capsys, argv, code, line):
 
 
 # ---------------------------------------------------------------- fault pins
-
-_SMALL = Limits(max_points=8, max_cube=3)
-
 
 def _bump(mp, owner, name, hit):
     """Patch owner.name to return one more wherever hit(*args) holds."""
@@ -819,7 +819,7 @@ PINS = {
 def test_fault_pin(monkeypatch, fault):
     suite, install = FAULTS[fault]
     install(monkeypatch)
-    assert verify_suite(suite, _SMALL) == PINS[fault]
+    assert verify_suite(suite, SMALL) == PINS[fault]
 
 
 def test_a_patched_closure_sweep_leaves_no_state_behind(monkeypatch):
@@ -827,9 +827,9 @@ def test_a_patched_closure_sweep_leaves_no_state_behind(monkeypatch):
     undone, the next run sees the true closures."""
     suite, install = FAULTS["closure-extensive"]
     install(monkeypatch)
-    assert verify_suite(suite, _SMALL) == PINS["closure-extensive"]
+    assert verify_suite(suite, SMALL) == PINS["closure-extensive"]
     monkeypatch.undo()
-    assert verify_suite(suite, _SMALL) == SuiteResult(suite, True, 3357)
+    assert verify_suite(suite, SMALL) == SuiteResult(suite, True, 3357)
 
 
 # The first drawn set of four points on 2,3,3 at seed 1729 is the suite's
@@ -875,10 +875,6 @@ def test_sampled_shattering_size_fault_pin(monkeypatch):
 
 # --------------------------------------------------------- call-count pins
 
-# The sweep_rank workload's limits (bench/workloads.py).
-_SWEEP_RANK = Limits(max_points=18, max_cube=5)
-
-
 def _count_calls(mp, owner, name, key):
     """Patch owner.name to count its calls under key(*args)."""
     calls = collections.Counter()
@@ -892,24 +888,14 @@ def _count_calls(mp, owner, name, key):
     return calls
 
 
-def _drive(name, limits):
-    """Run the suite's checks on each of its grids in this process, to the
-    end.  verify_suite runs some grids in child processes, whose calls a
-    spy in this process does not see."""
-    grids, checks = verify.SUITES[name]
-    for grid in grids(limits):
-        for _ in checks(grid, limits):
-            pass
-
-
 def test_interval_rank_ranks_each_distinct_block_once(monkeypatch):
-    result = verify_suite("interval-rank", _SWEEP_RANK)
+    result = verify_suite("interval-rank", SWEEP_RANK)
     assert result == SuiteResult("interval-rank", True, 3000)
     calls = _count_calls(
         monkeypatch, hilbert, "rank_block",
         lambda grid, rows, cols: (grid.spec(), tuple(rows), tuple(cols)),
     )
-    _drive("interval-rank", _SWEEP_RANK)
+    assert serial("interval-rank", SWEEP_RANK) == result
     assert calls and max(calls.values()) == 1
 
 
@@ -918,18 +904,18 @@ def test_closure_laws_ask_each_set_and_each_closure_once_per_degree(monkeypatch)
     value, plus one per distinct (grid, degree, closure), for the value
     of the closure."""
     want = collections.Counter()
-    for grid in verify.verification_family(_SWEEP_RANK.max_points, _SWEEP_RANK.max_cube):
+    for grid in verify.verification_family(SWEEP_RANK.max_points, SWEEP_RANK.max_cube):
         N = grid.max_weight
         for d in range(N + 1):
             closures = set(closure.zstar_sweep(grid, d))
             for mask in range(1 << (N + 1)):
                 E = frozenset(j for j in range(N + 1) if mask >> j & 1)
                 want[grid.spec(), d, E] = 1 + (E in closures)
-    result = verify_suite("closure-laws", _SWEEP_RANK)
+    result = verify_suite("closure-laws", SWEEP_RANK)
     assert result == SuiteResult("closure-laws", True, 46921)
     calls = _count_calls(
         monkeypatch, hilbert, "hilbert_closed",
         lambda grid, d, E: (grid.spec(), d, frozenset(E)),
     )
-    _drive("closure-laws", _SWEEP_RANK)
+    assert serial("closure-laws", SWEEP_RANK) == result
     assert calls == want

@@ -27,6 +27,7 @@ from gridhilbert.linalg import (
     binomial_rows,
     eval_columns,
     layer_span,
+    pivot_sweep,
     subset_sweep,
 )
 from gridhilbert.verify import verification_family
@@ -389,6 +390,28 @@ def test_subset_sweep_matches_a_fresh_span_per_mask():
                     fresh.extend(blocks[b])
             assert span._rows == fresh._rows, (blocks, mask)
         assert masks == list(range(1 << len(blocks)))
+
+
+def test_pivot_sweep_matches_a_fresh_span_per_mask():
+    """Independent rows that are no grid table: fewer rows than positions,
+    half the entries zero so the pivots scatter, the others up to 10^6."""
+    rng = random.Random(11)
+    for _ in range(40):
+        length = rng.randint(1, 7)
+        n = rng.randint(0, min(length, 5))
+        while True:
+            rows = [
+                [rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(length)]
+                for _ in range(n)
+            ]
+            if len(Span(length).extend(rows)) == n:
+                break
+        masks = list(pivot_sweep(rows))
+        assert len(masks) == 1 << n
+        for mask, pivots in enumerate(masks):
+            fresh = Span(length)
+            want = [fresh.add(rows[i]) for i in reversed(range(n)) if mask >> i & 1]
+            assert pivots == sum(1 << c for c in want), (rows, mask)
 
 
 def test_span_zero_vectors_and_full_span():

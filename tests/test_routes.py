@@ -1,4 +1,5 @@
-"""The two routes to each quantity stay independent.
+"""The two routes to each quantity stay independent, and one module steps
+the exact kernel.
 
 Each route runs under sys.setprofile, with every package cache cleared
 first so cached helpers run their bodies too, and the test asserts
@@ -7,13 +8,16 @@ footprint routes never reach the closed forms, the step operator or the
 shattering recursion and its sweep, and the closed forms, the shattering
 recursion and its sweep never reach the linear-algebra kernel.  Each
 check also names one function the route must enter, so a profile that
-saw nothing fails.
+saw nothing fails.  Only linalg reads Span's private steps and rows.
 """
 
+import ast
 import sys
+from pathlib import Path
 
 from test_caches import _lru_caches
 
+import gridhilbert
 from gridhilbert import (
     UniformGrid,
     hilbert_closed,
@@ -103,3 +107,14 @@ def test_closed_forms_and_recursion_avoid_linalg():
         entered = _entered(route, *args)
         assert required in {name for _, name in entered}
         assert _LINALG not in {m for m, _ in entered}, (route.__name__, args)
+
+
+def test_only_linalg_reads_the_kernel_steps_and_rows():
+    private = {"_reduce", "_store", "_rows"}
+    read = {}
+    for path in Path(gridhilbert.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        read[path.name] = attrs & private
+    assert read.pop("linalg.py") == private
+    assert read and not any(read.values()), read

@@ -9,27 +9,14 @@ import time
 
 import pytest
 
+from conftest import SMALL, SWEEP_RANK, serial
+
 from gridhilbert import verify
-from gridhilbert.verify import SUITES, Limits, SuiteResult, verify_suite
+from gridhilbert.verify import SUITES, verify_suite
 
-_SMALL = Limits(max_points=8, max_cube=3)
-# The sweep_rank workload's limits (bench/workloads.py).
-_SWEEP_RANK = Limits(max_points=18, max_cube=5)
 # The planted suite's grids, and the two shards they are split into.
-FAMILY = verify._family(_SMALL)
+FAMILY = verify._family(SMALL)
 SHARDS = verify._partition(FAMILY, 2)
-
-
-def serial(name, limits):
-    """The reference: the runner's loop before the grids were split."""
-    grids, checks = SUITES[name]
-    checked = 0
-    for grid in grids(limits):
-        for counterexample in checks(grid, limits):
-            checked += 1
-            if counterexample is not None:
-                return SuiteResult(name, False, checked, counterexample)
-    return SuiteResult(name, True, checked)
 
 
 class Planted(Exception):
@@ -81,7 +68,7 @@ def plant(monkeypatch, plants):
     monkeypatch.setitem(SUITES, "planted", (grids, planted))
 
 
-@pytest.mark.parametrize("limits", [_SMALL, _SWEEP_RANK], ids=["small", "sweep_rank"])
+@pytest.mark.parametrize("limits", [SMALL, SWEEP_RANK], ids=["small", "sweep_rank"])
 @pytest.mark.parametrize("name", list(SUITES))
 def test_split_results_equal_the_serial_fold(forks, name, limits):
     want = serial(name, limits)
@@ -92,7 +79,7 @@ def test_split_results_equal_the_serial_fold(forks, name, limits):
 
 
 def test_the_partition_is_longest_first_onto_the_least_loaded_shard():
-    family = verify._family(_SWEEP_RANK)
+    family = verify._family(SWEEP_RANK)
     shards = verify._partition(family, 2)
     assert shards == [[0, 3, 6, 7, 8, 11, 14], [1, 2, 4, 5, 9, 10, 12, 13]]
     assert [sum(family[i].size for i in shard) for shard in shards] == [83, 83]
@@ -106,8 +93,8 @@ def test_a_payload_in_the_second_shard_is_merged_in_sweep_order(forks, monkeypat
     i = SHARDS[1][1]
     j = next(k for k in SHARDS[0] if k > i)
     plant(monkeypatch, [(i, 2, {"planted": i}), (j, 0, {"planted": j})])
-    result = verify_suite("planted", _SMALL)
-    assert result == serial("planted", _SMALL)
+    result = verify_suite("planted", SMALL)
+    assert result == serial("planted", SMALL)
     assert result.counterexample == {"planted": i}
     assert forks and no_children()
 
@@ -119,7 +106,7 @@ def test_an_exception_in_a_shard_propagates_with_its_type_and_message(
     i = SHARDS[shard][1]
     plant(monkeypatch, [(i, 3, Planted(f"on {FAMILY[i].spec()}"))])
     with pytest.raises(Planted, match=f"^on {FAMILY[i].spec()}$") as raised:
-        verify_suite("planted", _SMALL)
+        verify_suite("planted", SMALL)
     assert raised.traceback[-1].name == "planted"
     assert forks and no_children()
 
@@ -131,9 +118,9 @@ def test_an_exception_after_an_earlier_counterexample_does_not_propagate(
     i = SHARDS[failing][1]
     j = next(k for k in SHARDS[raising] if k > i)
     plant(monkeypatch, [(i, 1, {"planted": i}), (j, 0, Planted("too late"))])
-    result = verify_suite("planted", _SMALL)
+    result = verify_suite("planted", SMALL)
     assert result.counterexample == {"planted": i}
-    assert result == serial("planted", _SMALL)
+    assert result == serial("planted", SMALL)
     assert forks and no_children()
 
 
@@ -146,7 +133,7 @@ def test_a_child_that_exits_nonzero_makes_the_call_raise(forks, monkeypatch):
 
     plant(monkeypatch, [(SHARDS[1][0], 0, exit_in_child)])
     with pytest.raises(RuntimeError, match="exited with 3"):
-        verify_suite("planted", _SMALL)
+        verify_suite("planted", SMALL)
     assert forks and no_children()
 
 
@@ -154,10 +141,10 @@ def test_short_or_missing_records_make_the_call_raise(forks, monkeypatch):
     dumps = marshal.dumps
     monkeypatch.setattr(marshal, "dumps", lambda records: dumps(records)[:-1])
     with pytest.raises(EOFError):
-        verify_suite("grid-hilbert", _SMALL)
+        verify_suite("grid-hilbert", SMALL)
     monkeypatch.setattr(marshal, "dumps", lambda records: dumps(records[:-1]))
     with pytest.raises(RuntimeError, match="no record for grid"):
-        verify_suite("grid-hilbert", _SMALL)
+        verify_suite("grid-hilbert", SMALL)
     assert len(forks) == 2 and no_children()
 
 
@@ -173,7 +160,7 @@ def test_an_interrupt_in_this_process_kills_the_children(forks, monkeypatch):
     plant(monkeypatch, [(shard[0], 0, interrupt_here_sleep_there) for shard in SHARDS])
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        verify_suite("planted", _SMALL)
+        verify_suite("planted", SMALL)
     assert time.perf_counter() - start < 30
     assert forks and no_children()
 
@@ -186,10 +173,10 @@ def test_one_usable_cpu_forks_nothing(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", _no_fork)
     for name in ("grid-hilbert", "wilson", "shattering"):
-        assert verify_suite(name, _SMALL) == serial(name, _SMALL)
+        assert verify_suite(name, SMALL) == serial(name, SMALL)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert verify_suite("closure-laws", _SMALL) == serial("closure-laws", _SMALL)
+    assert verify_suite("closure-laws", SMALL) == serial("closure-laws", SMALL)
 
 
 def test_no_fork_while_another_thread_is_alive(monkeypatch):
@@ -199,7 +186,7 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch):
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        assert verify_suite("wilson", _SMALL) == serial("wilson", _SMALL)
+        assert verify_suite("wilson", SMALL) == serial("wilson", SMALL)
     finally:
         done.set()
         thread.join()

@@ -217,48 +217,49 @@ MUTANTS = (
     ),
     Mutant(
         "footprint-drops-first-pivot",
-        "src/gridhilbert/shattering.py",
+        "src/gridhilbert/linalg.py",
         "answer |= 1 << c",
         "answer |= bool(rank) << c",
         ("tests/test_sweeps.py",),
     ),
-    # The footprint sweep's elimination tree: a lower point's pending row
-    # left unreduced by the new row, one that the new row writes shared
-    # with the parent level, and an answer not inherited from the parent.
+    # The footprint sweep's elimination tree, linalg.pivot_sweep: a lower
+    # pending row left unreduced by the new row, one that the new row
+    # writes shared with the parent level, and an answer not inherited
+    # from the parent.
     Mutant(
         "footprint-lower-rows-not-reduced",
-        "src/gridhilbert/shattering.py",
+        "src/gridhilbert/linalg.py",
         "                span._reduce(v, scale, rank)\n",
         "",
         ("tests/test_fibre_recursion.py::test_footprint_sweep_matches_the_fibre_recursion",),
     ),
     Mutant(
         "footprint-shares-a-written-row",
-        "src/gridhilbert/shattering.py",
+        "src/gridhilbert/linalg.py",
         "            if v[c]:\n",
         "            if not v[c]:\n",
         ("tests/test_fibre_recursion.py::test_footprint_sweep_matches_the_fibre_recursion",),
     ),
     Mutant(
         "footprint-answer-not-inherited",
-        "src/gridhilbert/shattering.py",
+        "src/gridhilbert/linalg.py",
         "answer |= 1 << c",
         "answer = 1 << c",
         ("tests/test_fibre_recursion.py::test_footprint_sweep_matches_the_fibre_recursion",),
     ),
-    # A leaf, a set holding point 0, reads its pivot off its parent's
-    # pending row of point 0: the wrong pending row, and an answer not
+    # A leaf, a set holding row 0, reads its pivot off its parent's
+    # pending row of row 0: the wrong pending row, and an answer not
     # inherited from the parent level.
     Mutant(
         "footprint-leaf-reads-the-last-pending-row",
-        "src/gridhilbert/shattering.py",
+        "src/gridhilbert/linalg.py",
         "next(compress(positions, pending[0][0]))",
         "next(compress(positions, pending[-1][0]))",
         ("tests/test_sweeps.py",),
     ),
     Mutant(
         "footprint-leaf-answer-not-inherited",
-        "src/gridhilbert/shattering.py",
+        "src/gridhilbert/linalg.py",
         "yield answer | 1 << next(compress(positions, pending[0][0]))",
         "yield 1 << next(compress(positions, pending[0][0]))",
         ("tests/test_sweeps.py",),
