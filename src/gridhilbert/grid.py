@@ -89,7 +89,7 @@ class UniformGrid:
     def dimension(self) -> int:
         return len(self.arities)
 
-    @property
+    @cached_property
     def max_weight(self) -> int:
         """Largest point weight N = sum of (k_i - 1)."""
         return sum(k - 1 for k in self.arities)

@@ -8,11 +8,14 @@ scan keeps the monomial columns that enlarge it.  Nothing here ever
 rounds.  A Bareiss step writes only the stored row's nonzero positions;
 every other entry is only rescaled, and the scale is applied once, when
 the row is stored, and only to its nonzeros, so a step costs the row's
-nonzeros, not the vector's length.  A stored row, one record of one
-list, depends only on the rows before it, so Span.truncate(r) leaves
-exactly the span of the first r stored rows; subset_sweep uses that to
-visit every union of a list of blocks in increasing mask order with
-about two span operations per mask instead of a fresh elimination.
+nonzeros, not the vector's length.  An entry that needs no rescale is
+read as it stands, and a step between two unit pivots is a plain
+subtraction; both write the general step's integer.  A stored row, one
+record of one list, depends only on the rows before it, so
+Span.truncate(r) leaves exactly the span of the first r stored rows;
+subset_sweep uses that to visit every union of a list of blocks in
+increasing mask order with about two span operations per mask instead
+of a fresh elimination.
 pivot_sweep, the footprint sweep's walk, visits every subset of a list
 of independent rows the same way, keeping each lower row reduced ahead,
 one Bareiss step per stored row that writes it.
@@ -23,7 +26,8 @@ C(x, alpha) = x^(alpha) / alpha!, one exponent's row at a time.  Each
 grid holds one table of point columns over the exponents in runs of
 descending weight, lex order inside a run, so a lower degree's table is
 a suffix of every column: a higher degree prepends only the new weight
-runs, and eval_columns cuts a lower degree from it.  Scaling each
+runs, with no products for the runs of weight above a layer's, which
+are zero, and eval_columns cuts a lower degree from it.  Scaling each
 exponent's entries by the nonzero alpha! changes no rank, no span
 membership and no pivot position, so every route answers as on the
 paper's falling factorials and keeps the same lex-first exponents.
@@ -48,7 +52,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DuplicateEntries, LengthMismatch
@@ -181,6 +185,13 @@ class Span:
     into a row of zeros, since a zero entry rescales to zero.  Membership
     needs only whether every entry is zero, which no rescaling changes.  add
     is _reduce then _store, and membership _reduce then a zero test.
+
+    Two cases of a step need less arithmetic, and each writes the integer
+    the general formula writes.  An entry last written at q == prev has the
+    lazy factor prev / q = 1, so its value is v[i] as it stands; f is read
+    the same way.  A step with p == prev == 1 divides by 1, so it writes
+    the plain difference value - f * row[i] at scale 1 = p.  The binomial
+    tables are unimodular, so both are common on the layer spans.
     """
 
     __slots__ = ("length", "_rows")
@@ -203,16 +214,29 @@ class Span:
         v and scale are the entries and the pivot entry at which each was
         last written, as a call that stopped at start left them, so a
         reduction can be resumed when more rows are stored: a fresh vector
-        starts with scale all 1 and start 0.
+        starts with scale all 1 and start 0.  The records are walked by
+        index, so no call copies the list; an entry at scale prev is read
+        as it stands, and a step with p == prev == 1 only subtracts.
         """
-        prev = self._rows[start - 1][1] if start else 1
-        for c, p, support, row in self._rows[start:]:
+        rows = self._rows
+        prev = rows[start - 1][1] if start else 1
+        for k in range(start, len(rows)):
+            c, p, support, row = rows[k]
             f = v[c]
             if f:
-                f = f * prev // scale[c]
-                for i in support:
-                    v[i] = (p * (v[i] * prev // scale[i]) - f * row[i]) // prev
-                    scale[i] = p
+                if scale[c] != prev:
+                    f = f * prev // scale[c]
+                if p == prev == 1:
+                    for i in support:
+                        q = scale[i]
+                        v[i] = (v[i] if q == 1 else v[i] // q) - f * row[i]
+                        scale[i] = 1
+                else:
+                    for i in support:
+                        q = scale[i]
+                        cur = v[i] if q == prev else v[i] * prev // q
+                        v[i] = (p * cur - f * row[i]) // prev
+                        scale[i] = p
             prev = p
 
     def _store(self, v: Sequence[int], scale: Sequence[int]) -> int | None:
@@ -396,18 +420,28 @@ def eval_columns(grid: UniformGrid, d: int) -> _Columns:
     in runs of descending exponent weight, lex order inside a run.  The
     grid's held table is first grown to degree at least d by prepending
     the runs of exponent weights d down to held + 1, one layer of points
-    at a time, as new tuples: a table a caller holds never changes.  The
-    columns are the held table cut to its last sum(grid.layer_sizes[:d+1])
-    entries; at the held degree, the table itself.
+    at a time, as new tuples: a table a caller holds never changes.
+    C(x, alpha) = 0 unless alpha <= x, so unless |alpha| <= |x|: in a
+    layer w, the runs of weight above w are zeros, prepended as zeros,
+    and binomial_rows makes only the runs min(d, w) down to held + 1.  A
+    layer with w <= held gets zeros only.  The columns are the held table
+    cut to its last sum(grid.layer_sizes[:d+1]) entries; at the held
+    degree, the table itself.
     """
     table = _binomial_table(grid)
     held, layers = table
     if d > held:
-        exponents = [a for t in range(d, held, -1) for a in grid.layer(t)]
-        layers = tuple(
-            tuple(map(add, zip(*binomial_rows(exponents, grid.layer(w))), layer))
-            for w, layer in enumerate(layers)
-        )
+        grown = []
+        for w, layer in enumerate(layers):
+            top = max(min(d, w), held)
+            zeros = (0,) * sum(grid.layer_sizes[top + 1 : d + 1])
+            if top > held:
+                exponents = [a for t in range(top, held, -1) for a in grid.layer(t)]
+                runs = zip(*binomial_rows(exponents, grid.layer(w)))
+                grown.append(tuple(zeros + new + old for new, old in zip(runs, layer)))
+            else:
+                grown.append(tuple(zeros + old for old in layer))
+        layers = tuple(grown)
         table[:] = d, layers
     cut = len(layers[0][0]) - sum(grid.layer_sizes[: d + 1])
     if not cut:

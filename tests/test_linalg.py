@@ -345,6 +345,33 @@ def test_stored_rows_match_the_dense_bareiss_reference():
             span.truncate(r)
             del ref.rows[r:]
             feed(span, ref, probes + vectors)
+    # Pivot entries 2, 1, 1, 1, 1.  The fourth vector's steps: row 0
+    # writes entries 0 to 2 at scale 2; row 1 (p = 1 after prev = 2)
+    # writes entry 1 and entry 3, last written at scale 1; row 2
+    # (p == prev == 1) writes entry 2, still at scale 2, by a plain
+    # subtraction.  The fifth's f at row 1 was never written, so it is
+    # read at scale 1 below prev = 2.  Each reduction is also stopped
+    # after r rows and resumed once the rest are stored, as pivot_sweep
+    # resumes its pending rows.
+    hand = [
+        [2, 1, 2, 0, 0],
+        [1, 1, 1, 1, 0],
+        [0, 0, 1, 1, 0],
+        [1, 1, 0, 1, 0],
+        [0, -1, -1, -1, 1],
+    ]
+    span, ref = Span(5), _DenseBareiss()
+    feed(span, ref, hand)
+    assert [p for _, p, _, _ in span._rows] == [2, 1, 1, 1, 1]
+    for k, v in enumerate(hand):
+        for r in range(k + 1):
+            span.truncate(r)
+            w, scale = list(v), [1] * 5
+            span._reduce(w, scale)
+            span.extend(hand[r:k])
+            span._reduce(w, scale, r)
+            assert span._store(w, scale) == k
+            assert _pivots_and_rows(span) == ref.rows[: k + 1], (k, r)
     rng = random.Random(20261019)
     for arities in [(5, 5, 2), (6, 9), (3, 3, 3, 3)]:
         grid = UniformGrid(arities)

@@ -109,14 +109,14 @@ MUTANTS = (
     Mutant(
         "oracle-drops-degree-d-rows",
         "src/gridhilbert/linalg.py",
-        "exponents = [a for t in range(d, held, -1) for a in grid.layer(t)]",
-        "exponents = [a for t in range(d - 1, held, -1) for a in grid.layer(t)]",
+        "exponents = [a for t in range(top, held, -1) for a in grid.layer(t)]",
+        "exponents = [a for t in range(top - 1, held, -1) for a in grid.layer(t)]",
         ("tests/test_hilbert.py",),
     ),
     Mutant(
         "bareiss-scale-not-recorded",
         "src/gridhilbert/linalg.py",
-        "                    scale[i] = p\n",
+        "                        scale[i] = p\n",
         "",
         ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
     ),
@@ -153,12 +153,45 @@ MUTANTS = (
     Mutant(
         "reduce-resumes-from-prev-1",
         "src/gridhilbert/linalg.py",
-        "prev = self._rows[start - 1][1] if start else 1",
+        "prev = rows[start - 1][1] if start else 1",
         "prev = 1",
         (
             "tests/test_linalg.py::"
             "test_a_reduction_resumed_at_a_stored_row_stores_what_add_stores",
         ),
+    ),
+    # The two shortcuts of a Bareiss step: the pivot entry f or another
+    # entry read unscaled when it was last written at the scale 1 rather
+    # than at prev, the plain subtraction of a unit step taken on a unit
+    # pivot after a non-unit one, and a unit step that reads an entry
+    # last written at a scale other than 1 unscaled.
+    Mutant(
+        "reduce-keeps-f-of-scale-1-unscaled",
+        "src/gridhilbert/linalg.py",
+        "if scale[c] != prev:",
+        "if scale[c] != 1:",
+        ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
+    ),
+    Mutant(
+        "reduce-keeps-entries-of-scale-1-unscaled",
+        "src/gridhilbert/linalg.py",
+        "cur = v[i] if q == prev else v[i] * prev // q",
+        "cur = v[i] if q == 1 else v[i] * prev // q",
+        ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
+    ),
+    Mutant(
+        "reduce-unit-step-on-any-unit-pivot",
+        "src/gridhilbert/linalg.py",
+        "if p == prev == 1:",
+        "if p == 1:",
+        ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
+    ),
+    Mutant(
+        "unit-step-ignores-the-scale",
+        "src/gridhilbert/linalg.py",
+        "(v[i] if q == 1 else v[i] // q) - f * row[i]",
+        "v[i] - f * row[i]",
+        ("tests/test_linalg.py::test_stored_rows_match_the_dense_bareiss_reference",),
     ),
     Mutant(
         "cut-masks-le",
@@ -473,13 +506,14 @@ MUTANTS = (
     # The held table grows by descending weight runs, prepended: a growth
     # that prepends the runs down to exponent 0 again, a lower degree
     # served at the held length, a growth that appends the runs in place
-    # of prepending them and a growth that keeps the old columns beside
-    # the new ones.
+    # of prepending them, a growth that keeps the old columns beside the
+    # new ones and a layer's zero runs counted from its own weight, down
+    # past the held degree into the runs the table already holds.
     Mutant(
         "growth-restarts-from-exponent-zero",
         "src/gridhilbert/linalg.py",
-        "exponents = [a for t in range(d, held, -1) for a in grid.layer(t)]",
-        "exponents = [a for t in range(d, -1, -1) for a in grid.layer(t)]",
+        "exponents = [a for t in range(top, held, -1) for a in grid.layer(t)]",
+        "exponents = [a for t in range(top, -1, -1) for a in grid.layer(t)]",
         ("tests/test_linalg.py::test_eval_columns_grow_in_any_degree_order",),
     ),
     Mutant(
@@ -492,8 +526,8 @@ MUTANTS = (
     Mutant(
         "table-in-ascending-runs",
         "src/gridhilbert/linalg.py",
-        "tuple(map(add, zip(*binomial_rows(exponents, grid.layer(w))), layer))",
-        "tuple(map(add, layer, zip(*binomial_rows(exponents, grid.layer(w)))))",
+        "zeros + new + old for new, old in zip(runs, layer)",
+        "zeros + old + new for new, old in zip(runs, layer)",
         ("tests/test_linalg.py::test_layer_columns_lead_with_their_own_exponent",),
     ),
     Mutant(
@@ -503,6 +537,13 @@ MUTANTS = (
         '        vars(_binomial_table).setdefault("kept", []).append(table[1])\n'
         "        table[:] = d, layers\n",
         ("tests/test_linalg.py::test_held_table_keeps_no_second_copy",),
+    ),
+    Mutant(
+        "growth-zeros-reach-below-the-held-degree",
+        "src/gridhilbert/linalg.py",
+        "sum(grid.layer_sizes[top + 1 : d + 1])",
+        "sum(grid.layer_sizes[min(d, w) + 1 : d + 1])",
+        ("tests/test_linalg.py::test_eval_columns_grow_in_any_degree_order",),
     ),
     Mutant(
         "layer-span-sized-below-degree",
