@@ -52,10 +52,8 @@ from .hilbert import (
     rank_block,
 )
 from .linalg import (
-    ExactMatrix,
     RankResult,
     eval_matrix,
-    factorial_diag,
     falling_factorial_value,
     rank,
     up_matrix,

@@ -42,10 +42,10 @@ layer_span returns a Span of chosen layers' columns from it for the rank
 oracle, its sweep and the closure routes.  eval_matrix and
 hilbert.rank_block call binomial_rows on their own exponents and points,
 as the footprint routes do; eval_matrix scales row alpha by alpha!, so
-the matrix dumps keep falling-factorial entries.  ExactMatrix holds
-dense integer matrices with grid-point labels for the matrix dumps, the
-up-rank and factorization suites and the demos; rank reports only its
-rank, from its columns added left to right to a Span.
+the matrix dumps keep falling-factorial entries.  ExactMatrix is a
+plain record of labels and entry rows, with no arithmetic: the dumps
+and demos print it, rank adds its columns left to right to a Span, and
+the factorization suite multiplies and scales its entries itself.
 """
 from __future__ import annotations
 
@@ -55,8 +55,8 @@ from math import comb, factorial, prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DuplicateEntries, LengthMismatch
-from .grid import Point, UniformGrid, _immutable, check_degree, check_weight_set
+from .errors import LengthMismatch
+from .grid import Point, UniformGrid, check_degree, check_weight_set
 
 # Cache bound per grid: a sweep uses one grid at a time.  In one process,
 # a default "verify all" hit _shatter_tables 1,533 of 1,568 calls; the
@@ -87,48 +87,12 @@ def falling_factorial_value(alpha: Sequence[int], beta: Sequence[int]) -> int:
     return out
 
 
-class ExactMatrix:
-    """Dense exact matrix with duplicate-free grid-point labels; immutable,
-    and equal only to a matrix with the same labels and entries."""
+class ExactMatrix(NamedTuple):
+    """Dense exact matrix with grid-point labels on its rows and columns."""
 
     row_labels: tuple[Point, ...]
     col_labels: tuple[Point, ...]
     entries: tuple[tuple[int, ...], ...]
-    __setattr__ = __delattr__ = _immutable
-
-    def __init__(
-        self,
-        row_labels: tuple[Point, ...],
-        col_labels: tuple[Point, ...],
-        entries: tuple[tuple[int, ...], ...],
-    ) -> None:
-        if len(set(row_labels)) != len(row_labels):
-            raise DuplicateEntries("duplicate row labels")
-        if len(set(col_labels)) != len(col_labels):
-            raise DuplicateEntries("duplicate column labels")
-        if len(entries) != len(row_labels):
-            raise LengthMismatch("entry rows do not match row labels")
-        for row in entries:
-            if len(row) != len(col_labels):
-                raise LengthMismatch("entry row does not match column labels")
-        vars(self).update(row_labels=row_labels, col_labels=col_labels, entries=entries)
-
-    def _key(self) -> tuple:
-        return self.row_labels, self.col_labels, self.entries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(row_labels={self.row_labels!r}, "
-            f"col_labels={self.col_labels!r}, entries={self.entries!r})"
-        )
 
     @property
     def n_rows(self) -> int:
@@ -137,24 +101,6 @@ class ExactMatrix:
     @property
     def n_cols(self) -> int:
         return len(self.col_labels)
-
-    def scale(self, c: int) -> "ExactMatrix":
-        return ExactMatrix(
-            self.row_labels,
-            self.col_labels,
-            tuple(tuple(c * e for e in row) for row in self.entries),
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.col_labels != other.row_labels:
-            raise LengthMismatch("inner labels do not match")
-        rows = []
-        for row in self.entries:
-            out = []
-            for j in range(other.n_cols):
-                out.append(sum(row[k] * other.entries[k][j] for k in range(self.n_cols)))
-            rows.append(tuple(out))
-        return ExactMatrix(self.row_labels, other.col_labels, tuple(rows))
 
     def to_lines(self) -> list[str]:
         """One line per row, entries separated by single spaces."""
@@ -493,12 +439,3 @@ def up_matrix(grid: UniformGrid, d: int) -> ExactMatrix:
     )
     return ExactMatrix(rows, cols, entries)
 
-
-def factorial_diag(grid: UniformGrid, weights: Iterable[int]) -> ExactMatrix:
-    """Diagonal matrix of coordinatewise factorials alpha! over a weight set."""
-    points = grid.unfold(weights)
-    entries = tuple(
-        tuple(prod(map(factorial, alpha)) if alpha == beta else 0 for beta in points)
-        for alpha in points
-    )
-    return ExactMatrix(points, points, entries)

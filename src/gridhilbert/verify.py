@@ -53,6 +53,7 @@ import math
 import os
 import random
 import threading
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from . import closure, hilbert, linalg, shattering
@@ -187,18 +188,31 @@ def _up_rank(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
 def _factorization(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
     """Evaluation blocks as scaled chains of up operators, entrywise.
 
+    (w-d)! times the block from the weight-d exponents to the weight-w
+    points is the chain of up operators from layer d to layer w, its rows
+    times each next operator's columns, with the diagonal of the point
+    factorials applied as a column scaling: column x times x!.
+
     Also checks the pointwise identity behind the chain: on a layer of
     weight w, (w-d) times a weight-d falling-factorial function equals
     the sum of its weight-(d+1) covers.
     """
     N = grid.max_weight
-    ups = [linalg.up_matrix(grid, d) for d in range(N)]
+    ups = [linalg.up_matrix(grid, d).entries for d in range(N)]
+    up_columns = [tuple(zip(*up)) for up in ups]
+    factorials = [
+        [math.prod(map(math.factorial, x)) for x in grid.layer(w)]
+        for w in range(N + 1)
+    ]
     for d in range(N):
-        chain = None
+        chain = ups[d]
         for w in range(d + 1, N + 1):
-            chain = ups[w - 1] if chain is None else chain @ ups[w - 1]
-            lhs = linalg.eval_matrix(grid, (d,), (w,)).scale(math.factorial(w - d))
-            rhs = chain @ linalg.factorial_diag(grid, (w,))
+            if w > d + 1:
+                chain = [[sum(map(mul, r, c)) for c in up_columns[w - 1]] for r in chain]
+            scale = math.factorial(w - d)
+            block = linalg.eval_matrix(grid, (d,), (w,)).entries
+            lhs = [[scale * e for e in row] for row in block]
+            rhs = [list(map(mul, row, factorials[w])) for row in chain]
             yield None if lhs == rhs else dict(
                 grid=grid.spec(), degree=d, weight=w, law="chain",
             )

@@ -5,7 +5,6 @@ import pytest
 
 from gridhilbert import (
     DegreeOutOfRange,
-    ExactMatrix,
     PointNotInGrid,
     WeightOutOfRange,
     UniformGrid,
@@ -18,6 +17,7 @@ from gridhilbert import (
     z_closure_points,
     zstar_closure,
 )
+from gridhilbert.linalg import ExactMatrix
 
 
 def _evaluation_matrix(funcs, pts):

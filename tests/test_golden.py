@@ -389,13 +389,16 @@ def _rank_short(mp):
 
 
 def _factorials_doubled(mp):
-    original = linalg.factorial_diag
-    hit = _at("2,4", (3,))
-    mp.setattr(
-        linalg,
-        "factorial_diag",
-        lambda g, ws: original(g, ws).scale(2) if hit(g, ws) else original(g, ws),
-    )
+    original = linalg.eval_matrix
+    hit = _at("2,4", (0,), (3,))
+
+    def patched(grid, rows, cols):
+        m = original(grid, rows, cols)
+        if not hit(grid, rows, cols):
+            return m
+        return m._replace(entries=tuple(tuple(2 * e for e in row) for row in m.entries))
+
+    mp.setattr(linalg, "eval_matrix", patched)
 
 
 def _interval_incompatible(mp):

