@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -73,18 +73,13 @@ def falling_factorial_value(alpha: Sequence[int], beta: Sequence[int]) -> int:
 
     This is the evaluation of the falling-factorial monomial with exponent
     alpha at the point beta; it vanishes whenever some alpha_i > beta_i.
+    A negative coordinate raises ValueError, from math.perm.
     """
     if len(alpha) != len(beta):
         raise LengthMismatch(
             f"exponent length {len(alpha)} != point length {len(beta)}"
         )
-    out = 1
-    for a, b in zip(alpha, beta):
-        for t in range(a):
-            out *= b - t
-        if out == 0:
-            return 0
-    return out
+    return prod(map(perm, beta, alpha))
 
 
 class ExactMatrix(NamedTuple):

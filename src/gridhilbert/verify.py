@@ -16,12 +16,8 @@ verify_suite is the one runner.  Its answer is that of walking the
 suite's grids in order, counting the items and stopping at the first
 payload: the reported counterexample is the first one in sweep order and
 the count includes it.  Comparisons are exact integer and set equality.
-It splits the grids into one shard per usable CPU, longest first by size
-onto the least-loaded shard.  Shard 0 runs in the calling process and
-each other shard in a forked child, which sends one record per grid back
-through a pipe with marshal; marshal keeps a payload dict's key order.
-The merge reads the records in sweep order, so splitting changes the
-wall time and nothing else.
+runner.fold splits the grids across processes and gives the argument
+that the answer is still the serial one.
 
 Suites that visit every subset in mask order read the brute-force side
 from a sweep that shares each subset's prefix on one linalg.Span:
@@ -48,15 +44,12 @@ module at call time, so a patched route is seen.
 from __future__ import annotations
 
 import itertools
-import marshal
 import math
-import os
 import random
-import threading
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from . import closure, hilbert, linalg, shattering
+from . import closure, hilbert, linalg, runner, shattering
 from .errors import UnknownSuite
 from .grid import UniformGrid
 
@@ -452,139 +445,20 @@ SUITES = {
 }
 
 
-# SIGKILL's number, which POSIX fixes; signal is not imported for it.
-_SIGKILL = 9
-
-
-def _shard_count(n_grids: int) -> int:
-    """One shard per usable CPU, at most one per grid, and only one where
-    os.fork is missing or another thread is alive: a fork taken while
-    another thread holds a lock can deadlock the child."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(n_grids, cpus))
-
-
-def _partition(family, k: int) -> list[list[int]]:
-    """The family's indices in k shards, each in family order.
-
-    Longest processing time first: grids in decreasing size, each onto
-    the least-loaded shard, ties to the lowest shard index.  The split is
-    a function of the family and k alone.
-    """
-    shards, loads = [[] for _ in range(k)], [0] * k
-    for i in sorted(range(len(family)), key=lambda i: -family[i].size):
-        j = loads.index(min(loads))
-        shards[j].append(i)
-        loads[j] += family[i].size
-    return [sorted(shard) for shard in shards]
-
-
-def _run_grid(checks, grid, limits) -> tuple[int, dict | None]:
-    """One grid's item count up to and including its first counterexample."""
-    checked = 0
-    for counterexample in checks(grid, limits):
-        checked += 1
-        if counterexample is not None:
-            return checked, counterexample
-    return checked, None
-
-
-def _run_shard(checks, family, shard, limits) -> list[tuple]:
-    """A record (index, checked, counterexample, raised) per grid of the
-    shard, in family order, up to its first grid that fails or raises."""
-    records = []
-    for i in shard:
-        try:
-            checked, counterexample = _run_grid(checks, family[i], limits)
-        except Exception:
-            records.append((i, 0, None, True))
-            break
-        records.append((i, checked, counterexample, False))
-        if counterexample is not None:
-            break
-    return records
-
-
-def _fork_shard(checks, family, shard, limits) -> tuple[int, int]:
-    """Fork a child that writes the shard's records to a pipe with
-    marshal; return its pid and the pipe's read end.  The child leaves by
-    os._exit, never returning into the caller or flushing inherited stdio,
-    with status 0 only once every byte is written."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as out:
-                out.write(marshal.dumps(_run_shard(checks, family, shard, limits)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
-
-
 def verify_suite(name: str, limits: Limits = Limits()) -> SuiteResult:
-    """Run one registered suite; the result carries the first counterexample.
-
-    The result is the serial loop's: walk the grids in order, count every
-    item and stop at the first counterexample.  Each shard (_partition)
-    runs its grids in family order and stops at its first grid that fails
-    or raises; shard 0 runs here, each other one in a child (_fork_shard).
-    The merge walks the family in order, adds up the counts and returns at
-    the first counterexample.  No shard stops before its own first
-    failure, so every grid before the first failure in family order was
-    run in full.  A grid whose check raised is run again here when the
-    merge reaches it, so its exception keeps its type, message and
-    traceback, and never propagates past an earlier counterexample.
-
-    Every child is reaped before the call returns or raises, and killed
-    first if this process's shard or a read raises (KeyboardInterrupt
-    too).  A child that exits nonzero or sends short data makes the call
-    raise, so a partial count is never reported.
-    """
+    """Run one registered suite; the result carries the first counterexample."""
     try:
         grids, checks = SUITES[name]
     except KeyError:
         known = ", ".join(SUITES)
         raise UnknownSuite(f"unknown suite {name!r}; choose from: {known}, all")
-    family = tuple(grids(limits))
-    shards = _partition(family, _shard_count(len(family)))
-    children, blobs, codes = [], None, []
-    try:
-        for shard in shards[1:]:
-            children.append(_fork_shard(checks, family, shard, limits))
-        runs = [_run_shard(checks, family, shards[0], limits)]
-        # Each read end is closed below, not by its file object.
-        blobs = [open(r, "rb", closefd=False).read() for _, r in children]
-    finally:
-        for pid, r in children:
-            os.close(r)
-            if blobs is None:
-                os.kill(pid, _SIGKILL)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for code, blob in zip(codes, blobs):
-        if code:
-            raise RuntimeError(f"suite {name!r}: a shard's child exited with {code}")
-        runs.append(marshal.loads(blob))
-    records = {record[0]: record for run in runs for record in run}
-    checked = 0
-    for i, grid in enumerate(family):
-        if i not in records:
-            raise RuntimeError(f"suite {name!r}: no record for grid {grid.spec()}")
-        _, n, counterexample, raised = records[i]
-        if raised:
-            n, counterexample = _run_grid(checks, grid, limits)
-        checked += n
-        if counterexample is not None:
-            return SuiteResult(name, False, checked, counterexample)
-    return SuiteResult(name, True, checked)
+
+    def run(grid: UniformGrid) -> tuple[int, dict | None]:
+        checked = 0
+        for checked, counterexample in enumerate(checks(grid, limits), 1):
+            if counterexample is not None:
+                return checked, counterexample
+        return checked, None
+
+    checked, counterexample = runner.fold(grids(limits), run)
+    return SuiteResult(name, counterexample is None, checked, counterexample)

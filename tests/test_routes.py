@@ -8,7 +8,8 @@ footprint routes never reach the closed forms, the step operator or the
 shattering recursion and its sweep, and the closed forms, the shattering
 recursion and its sweep never reach the linear-algebra kernel.  Each
 check also names one function the route must enter, so a profile that
-saw nothing fails.  Only linalg reads Span's private steps and rows.
+saw nothing fails.  Only linalg reads Span's private steps and rows, and
+only the runner imports the process modules os, marshal and threading.
 """
 
 import ast
@@ -118,3 +119,18 @@ def test_only_linalg_reads_the_kernel_steps_and_rows():
         read[path.name] = attrs & private
     assert read.pop("linalg.py") == private
     assert read and not any(read.values()), read
+
+
+def test_only_the_runner_imports_os_marshal_or_threading():
+    process = {"os", "marshal", "threading"}
+    imported = {}
+    for path in Path(gridhilbert.__file__).parent.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+        imported[path.name] = names & process
+    assert imported.pop("runner.py") == process
+    assert imported and not any(imported.values()), imported

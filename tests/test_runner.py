@@ -1,6 +1,6 @@
-"""verify_suite splits a suite's grids across processes and returns the
-serial loop's SuiteResult: the same count, the same first counterexample,
-the same exception, and no child process left behind."""
+"""verify_suite splits a suite's grids across processes with runner.fold
+and returns the serial loop's SuiteResult: the same count, the same first
+counterexample, the same exception, and no child process left behind."""
 
 import marshal
 import os
@@ -11,12 +11,12 @@ import pytest
 
 from conftest import SMALL, SWEEP_RANK, serial
 
-from gridhilbert import verify
+from gridhilbert import runner, verify
 from gridhilbert.verify import SUITES, verify_suite
 
 # The planted suite's grids, and the two shards they are split into.
 FAMILY = verify._family(SMALL)
-SHARDS = verify._partition(FAMILY, 2)
+SHARDS = runner._partition(FAMILY, 2)
 
 
 class Planted(Exception):
@@ -68,6 +68,22 @@ def plant(monkeypatch, plants):
     monkeypatch.setitem(SUITES, "planted", (grids, planted))
 
 
+def record_caller(monkeypatch):
+    """Register the suite "recorded": grid-hilbert, with the spec of each
+    grid its checks are asked for in this process appended to the list
+    returned."""
+    grids, checks = SUITES["grid-hilbert"]
+    parent, seen = os.getpid(), []
+
+    def recorded(grid, limits):
+        if os.getpid() == parent:
+            seen.append(grid.spec())
+        return checks(grid, limits)
+
+    monkeypatch.setitem(SUITES, "recorded", (grids, recorded))
+    return seen
+
+
 @pytest.mark.parametrize("limits", [SMALL, SWEEP_RANK], ids=["small", "sweep_rank"])
 @pytest.mark.parametrize("name", list(SUITES))
 def test_split_results_equal_the_serial_fold(forks, name, limits):
@@ -80,11 +96,19 @@ def test_split_results_equal_the_serial_fold(forks, name, limits):
 
 def test_the_partition_is_longest_first_onto_the_least_loaded_shard():
     family = verify._family(SWEEP_RANK)
-    shards = verify._partition(family, 2)
+    shards = runner._partition(family, 2)
     assert shards == [[0, 3, 6, 7, 8, 11, 14], [1, 2, 4, 5, 9, 10, 12, 13]]
     assert [sum(family[i].size for i in shard) for shard in shards] == [83, 83]
     assert sorted(sum(shards, [])) == list(range(len(family)))
-    assert verify._partition(family, 1) == [list(range(len(family)))]
+    assert runner._partition(family, 1) == [list(range(len(family)))]
+
+
+def test_the_caller_runs_exactly_the_grids_of_shard_0(forks, monkeypatch):
+    seen = record_caller(monkeypatch)
+    result = verify_suite("recorded", SMALL)
+    assert seen == [FAMILY[i].spec() for i in SHARDS[0]]
+    assert result == serial("recorded", SMALL)
+    assert forks and no_children()
 
 
 def test_a_payload_in_the_second_shard_is_merged_in_sweep_order(forks, monkeypatch):
@@ -97,6 +121,26 @@ def test_a_payload_in_the_second_shard_is_merged_in_sweep_order(forks, monkeypat
     assert result == serial("planted", SMALL)
     assert result.counterexample == {"planted": i}
     assert forks and no_children()
+
+
+def test_four_shards_merge_a_payload_in_the_last_one_before_later_exceptions(
+    forks, monkeypatch
+):
+    """Four usable CPUs fork three children.  The first failure is on the
+    last shard, and a later grid of every other shard raises."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    shards = runner._partition(FAMILY, 4)
+    i = shards[-1][0]
+    later = [k for shard in shards[:-1] for k in shard if k > i]
+    plant(
+        monkeypatch,
+        [(i, 2, {"planted": i})] + [(k, 0, Planted(f"on {k}")) for k in later],
+    )
+    result = verify_suite("planted", SMALL)
+    assert result.counterexample == {"planted": i}
+    assert result == serial("planted", SMALL)
+    assert len(forks) == 3 and len(later) == 3
+    assert no_children()
 
 
 @pytest.mark.parametrize("shard", [0, 1])
@@ -138,13 +182,19 @@ def test_a_child_that_exits_nonzero_makes_the_call_raise(forks, monkeypatch):
 
 
 def test_short_or_missing_records_make_the_call_raise(forks, monkeypatch):
+    """Short data raises; a grid the child sent no record for is run in
+    the caller, and the result is still the serial one."""
+    seen = record_caller(monkeypatch)
     dumps = marshal.dumps
     monkeypatch.setattr(marshal, "dumps", lambda records: dumps(records)[:-1])
     with pytest.raises(EOFError):
-        verify_suite("grid-hilbert", SMALL)
+        verify_suite("recorded", SMALL)
     monkeypatch.setattr(marshal, "dumps", lambda records: dumps(records[:-1]))
-    with pytest.raises(RuntimeError, match="no record for grid"):
-        verify_suite("grid-hilbert", SMALL)
+    seen.clear()
+    result = verify_suite("recorded", SMALL)
+    missing = FAMILY[SHARDS[1][-1]].spec()
+    assert seen == [FAMILY[i].spec() for i in SHARDS[0]] + [missing]
+    assert result == serial("recorded", SMALL)
     assert len(forks) == 2 and no_children()
 
 

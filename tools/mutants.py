@@ -346,52 +346,52 @@ MUTANTS = (
     ),
     Mutant(
         "runner-counts-only-passing-checks",
-        "src/gridhilbert/verify.py",
+        "src/gridhilbert/runner.py",
         "        checked += n\n",
         "        checked += n - (counterexample is not None)\n",
         ("tests/test_golden.py",),
     ),
     Mutant(
         "runner-keeps-last-failure",
-        "src/gridhilbert/verify.py",
+        "src/gridhilbert/runner.py",
         "    checked = 0\n"
-        "    for i, grid in enumerate(family):\n"
-        "        if i not in records:\n"
-        "            raise RuntimeError(f\"suite {name!r}: no record for grid {grid.spec()}\")\n"
-        "        _, n, counterexample, raised = records[i]\n"
-        "        if raised:\n"
-        "            n, counterexample = _run_grid(checks, grid, limits)\n"
+        "    for i, grid in enumerate(grids):\n"
+        "        n, counterexample = records[i] if i in records else run(grid)\n"
         "        checked += n\n"
         "        if counterexample is not None:\n"
-        "            return SuiteResult(name, False, checked, counterexample)\n"
-        "    return SuiteResult(name, True, checked)\n",
+        "            return checked, counterexample\n"
+        "    return checked, None\n",
         "    checked, last = 0, None\n"
-        "    for i, grid in enumerate(family):\n"
-        "        if i not in records:\n"
-        "            break\n"
-        "        _, n, counterexample, raised = records[i]\n"
-        "        if raised:\n"
-        "            n, counterexample = _run_grid(checks, grid, limits)\n"
+        "    for i, grid in enumerate(grids):\n"
+        "        n, counterexample = records[i] if i in records else run(grid)\n"
         "        checked += n\n"
         "        if counterexample is not None:\n"
-        "            last = SuiteResult(name, False, checked, counterexample)\n"
-        "    return last or SuiteResult(name, True, checked)\n",
+        "            last = checked, counterexample\n"
+        "    return last or (checked, None)\n",
         ("tests/test_golden.py",),
     ),
     # The grids are split into shards that run in separate processes; the
-    # merge must walk the family in order, over every child's records.
+    # merge must walk the grids in order, over every child's records, and
+    # run in the caller only the grids that have none.
     Mutant(
         "runner-merges-in-shard-order",
-        "src/gridhilbert/verify.py",
-        "    for i, grid in enumerate(family):\n",
-        "    for i, grid in [(r[0], family[r[0]]) for run in runs for r in run]:\n",
+        "src/gridhilbert/runner.py",
+        "    for i, grid in enumerate(grids):\n",
+        "    for i, grid in [(r[0], grids[r[0]]) for shard in shard_records for r in shard]:\n",
         ("tests/test_runner.py",),
     ),
     Mutant(
         "runner-drops-child-records",
-        "src/gridhilbert/verify.py",
-        "        runs.append(marshal.loads(blob))\n",
+        "src/gridhilbert/runner.py",
+        "        shard_records.append(marshal.loads(blob))\n",
         "        marshal.loads(blob)\n",
+        ("tests/test_runner.py",),
+    ),
+    Mutant(
+        "runner-counts-zero-for-an-unrecorded-grid",
+        "src/gridhilbert/runner.py",
+        "records[i] if i in records else run(grid)",
+        "records.get(i, (0, None))",
         ("tests/test_runner.py",),
     ),
     Mutant(
