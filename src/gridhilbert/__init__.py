@@ -6,7 +6,13 @@ closures of such sets, and order shattering / standard monomials of
 arbitrary point sets.  Every closed form ships next to an independent
 brute-force route, and the verification suites sweep a family of small
 grids comparing the two.
+
+The suites (verify, and the runner it splits a suite with) are imported
+only when first asked for: by ``gridhilbert verify``, by
+``gridhilbert.verify`` or by one of the names re-exported from it.
 """
+
+import importlib
 
 from .closure import (
     ClosureReport,
@@ -59,12 +65,18 @@ from .linalg import (
     up_matrix,
 )
 from .shattering import ord_str, order_shatters, standard_monomials
-from .verify import (
-    SUITES,
-    Limits,
-    SuiteResult,
-    verification_family,
-    verify_suite,
-)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """verify and the five names re-exported from it, imported on first use
+    so that importing the package does not load the suites.  import_module,
+    not ``from . import verify``, which would ask this function for verify
+    again before the import is done."""
+    if name not in {
+        "verify", "SUITES", "Limits", "SuiteResult", "verification_family", "verify_suite"
+    }:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    verify = importlib.import_module(".verify", __name__)
+    return verify if name == "verify" else getattr(verify, name)

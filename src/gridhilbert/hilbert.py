@@ -47,12 +47,12 @@ class BEEnumeration(NamedTuple):
 
 def be_enumeration(N: int, d: int, E: Iterable[int]) -> BEEnumeration:
     check_degree(d, N)
-    members = set(check_weight_set(E, N))
-    low = set(range(d + 1))
+    members = check_weight_set(E, N)
+    kept = tuple(w for w in members if w <= d)
     return BEEnumeration(
-        t_desc=tuple(sorted(low - members, reverse=True)),
-        w_asc=tuple(sorted(members - low)),
-        kept=tuple(sorted(members & low)),
+        t_desc=tuple(t for t in range(d, -1, -1) if t not in kept),
+        w_asc=members[len(kept):],
+        kept=kept,
     )
 
 

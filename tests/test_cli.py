@@ -6,11 +6,15 @@ superscript digit, nor a string past int()'s limit of 4300 digits.  A
 refusal exits 1 with an empty stdout; a ParseError is the whole of
 stderr, and of argparse's error, printed after its usage, the last line
 is pinned.  tests/test_golden.py pins the output bytes and domain errors.
+The verify command's parser names the suites without importing verify,
+and the command passes Limits only the flags that were given.
 """
 
 import pytest
 
 from conftest import run_cli
+from gridhilbert import cli, verify
+from gridhilbert.verify import Limits, SuiteResult
 
 # A decimal string past int()'s limit of 4300 digits.
 _LONG = "1" * 5000
@@ -74,6 +78,23 @@ def test_verify_flags_take_only_decimal_digits(capsys, flag, value):
         ["verify", "digression", flag, value],
         f"gridhilbert verify: error: argument {flag}: invalid _decimal value: {value!r}",
     )
+
+
+def test_verify_names_the_suites_and_passes_only_the_flags_given(capsys, monkeypatch):
+    """An absent flag takes its default from Limits()."""
+    assert cli._SUITE_NAMES == tuple(verify.SUITES)
+    calls = []
+
+    def spy(name, limits):
+        calls.append((name, limits))
+        return SuiteResult(name, True, 0)
+
+    monkeypatch.setattr(verify, "verify_suite", spy)
+    ok = (0, "suite up-rank: ok (0 checks)\n", "")
+    assert run_cli(capsys, ["verify", "up-rank"]) == ok
+    flags = ["--max-points", "12", "--seed", "5"]
+    assert run_cli(capsys, ["verify", "up-rank", *flags]) == ok
+    assert calls == [("up-rank", Limits()), ("up-rank", Limits(max_points=12, seed=5))]
 
 
 def test_huge_weight_range_fails_before_expansion(capsys):

@@ -51,8 +51,8 @@ MUTANTS = (
     Mutant(
         "ascending-t-desc",
         "src/gridhilbert/hilbert.py",
-        "t_desc=tuple(sorted(low - members, reverse=True)),",
-        "t_desc=tuple(sorted(low - members)),",
+        "t_desc=tuple(t for t in range(d, -1, -1) if t not in kept),",
+        "t_desc=tuple(t for t in range(d + 1) if t not in kept),",
         ("tests/test_hilbert.py",),
     ),
     Mutant(
@@ -414,6 +414,23 @@ MUTANTS = (
         "f\"agree={'yes' if agree else 'no'}\",",
         "\"agree=yes\",",
         ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "verify-flags-pass-their-absence",
+        "src/gridhilbert/cli.py",
+        "verify.Limits(**{k: v for k, v in given.items() if v is not None})",
+        "verify.Limits(**given)",
+        (
+            "tests/test_cli.py::"
+            "test_verify_names_the_suites_and_passes_only_the_flags_given",
+        ),
+    ),
+    Mutant(
+        "cli-imports-verify-at-start-up",
+        "src/gridhilbert/cli.py",
+        "from . import shattering as _shattering\n",
+        "from . import shattering as _shattering\nfrom . import verify as _verify\n",
+        ("tests/test_values.py::test_only_the_verify_command_loads_the_suites",),
     ),
     # rank reports only the rank, so feeding the rows to a span of their
     # own length (n_cols) is an equivalent mutant: row rank equals column
