@@ -21,12 +21,11 @@ whose lower part repeats the previous one and stopping once the lower
 part is the whole group.  ord_str is the one-shot route, the plain
 recursion with a memo that lives for one call, and order_shatters asks
 whether b is in its answer.  The shattering sweep answers every point
-set of a grid of at most 16 points in mask order: both parts of a cut
-are nonempty proper submasks of the set, so one table filled in
-increasing mask order holds both recursive answers before they are read.
-Since order shattering is monotone in the set, the sweep seeds each
-set's row with the rows of two of its proper submasks and tests a
-multiset only when the row already holds both its recursion targets.
+set of a grid of at most 16 points in mask order.  It runs the same
+recursion on every set at once: per multiset, one truth table with a bit
+per point set, filled in lex index order, since both recursion targets
+come earlier.  A part of a cut is a restriction of the set to the part's
+mask, so a part's answers are the target's table read at S & mask.
 
 Standard monomials are computed by a separate route with no shattering
 in it: scan the monomials X^alpha for alpha in the grid in ascending lex
@@ -50,13 +49,15 @@ package rather than an assumption of the code.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import EmptyMultiset, GridTooLarge
 from .grid import Point, UniformGrid
 from .linalg import _GRID_CACHE_SIZE, Span, binomial_rows, pivot_sweep
+
+# The binary digits of a truth table, as one byte per set.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def tau(b: Iterable[int]) -> int:
@@ -128,11 +129,7 @@ def ord_str(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:
     """All multisets the point set order-shatters.
 
     Every multiset of the grid is tested on its own, with one memo for
-    the call.  This route keeps the plain recursion, without the
-    monotonicity pruning of shattering_sweep: the sweep is checked
-    against it, so it must not rest on the lemma that prunes the sweep.
-    A one-shot call tests each multiset once, so pruning would save it
-    little.
+    the call.
     """
     bit, steps = _shatter_tables(grid)
     S = sum({1 << bit[grid.check_point(p)] for p in A})
@@ -154,66 +151,53 @@ def shattering_sweep(grid: UniformGrid) -> Iterator[int]:
     """ord_str(grid, A) as a mask, for every point set A in mask order.
 
     Bit i of a mask, both of A's and of the answer, is the i-th grid point
-    in lex order.  The answers fill one table sh[S] in increasing mask
-    order.  Each cut of _shatters splits a group of S into a nonempty
-    upper and lower part, both proper submasks of S, so both recursive
-    calls become bit tests on entries already filled.  The cut loop is
-    _shatters' own, inlined: a generator of splits shared by the two gave
-    the same answers but made the 4,4 sweep 1.4 to 2.4 times as slow.
-    Grids of more than 16 points are refused: the table has 2^|grid|
-    entries of 16 bits.
-
-    Most tests are pruned by one lemma: if S is a subset of S' and S
-    order-shatters b, then S' order-shatters b.  Proof, by induction on
-    b's lex index (b = 0 is S' being nonempty): S' & G contains S & G, so
-    the size bound still holds.  At the cut where S shatters b, the parts
-    of S' contain the parts of S, which are nonempty and, by induction,
-    still shatter their targets, whose indices are lower.  So the
-    `lower == group` break cannot come first, and a `lower == prev` skip
-    only repeats a split already tried.  Hence if S shatters b != 0, S
-    also shatters both recursion targets, since a part of S shatters
-    each.  The row of S starts as the union of the rows of S without its
-    lowest bit and S without its highest, two proper submasks already
-    filled.  Only the multisets outside it whose downset fits in |S|,
-    fits[|S|], are tested, in ascending index, and one is skipped unless
-    the row already holds both its targets: their indices are lower, so
-    the row is final there.
+    in lex order.  This is _shatters run on every set at once, with truth
+    tables as integers (Knuth, TAOCP 4A, 7.1.3): bit S of the 2^n-bit
+    table T[j] says whether the set S order-shatters multiset j.  T[0]
+    holds every nonempty set, and T[j] is the OR over each group G and
+    cut of restrict(T[j_deleted], G & ~cut) & restrict(T[j_removed],
+    G & cut), where restrict(T, M) reads bit S of T at S & M: for each
+    point outside M it copies the half of T without the point onto the
+    half with it.  Both targets have lower indices, so the tables fill in
+    index order.  An empty part reads bit 0, which no table holds, so
+    _shatters' skip and break are not needed.  Nor is its size bound:
+    downset_size(b) is the sum of its two targets' downset sizes, so by
+    induction on j a set in T[j] has at least downset_size(b) points.
+    The tables are then transposed: multiset j goes to bit j & 7 of byte
+    plane j >> 3, which holds one byte per set.  Grids of more than 16
+    points are refused before any table is built.
     """
     n = grid.size
     if n > 16:
         raise GridTooLarge(f"the shattering sweep takes at most 16 points, not {n}")
     steps = _shatter_tables(grid)[1]
-    fits = [sum(1 << j for j in range(1, n) if steps[j][0] <= s) for s in range(n + 1)]
-    sh = array("H", bytes(2 << n))
-    yield sh[0]
-    for S in range(1, 1 << n):
-        row = 1 | sh[S & (S - 1)] | sh[S ^ 1 << S.bit_length() - 1]
-        todo = fits[S.bit_count()] & ~row
-        while todo:
-            j = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            need, groups, cuts, j_deleted, j_removed = steps[j]
-            if not row >> j_deleted & row >> j_removed & 1:
-                continue
-            for G in groups:
-                group = S & G
-                if group.bit_count() < need:
-                    continue
-                prev = 0
-                for cut in cuts:
-                    lower = group & cut
-                    if lower == prev:
-                        continue
-                    if lower == group:
-                        break
-                    prev = lower
-                    if sh[group ^ lower] >> j_deleted & 1 and sh[lower] >> j_removed & 1:
-                        row |= 1 << j
-                        break
-                if row >> j & 1:
-                    break
-        sh[S] = row
-        yield row
+    sets = 1 << n
+    # clear[i] holds the sets without point i: runs of 2^i ones and 2^i zeros.
+    clear = [
+        ((1 << sets) - 1) // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n)
+    ]
+
+    def restrict(t: int, M: int) -> int:
+        for i in range(n):
+            if not M >> i & 1:
+                t &= clear[i]
+                t |= t << (1 << i)
+        return t
+
+    T = [(1 << sets) - 2]
+    for _, groups, cuts, j_deleted, j_removed in steps[1:]:
+        t = 0
+        for G in groups:
+            for cut in cuts:
+                t |= restrict(T[j_deleted], G & ~cut) & restrict(T[j_removed], G & cut)
+        T.append(t)
+    planes = [0, 0]
+    for j, t in enumerate(T):
+        row = format(t, f"0{sets}b")[::-1].encode().translate(_BITS)
+        planes[j >> 3] |= int.from_bytes(row, "big") << (j & 7)
+    lo, hi = (plane.to_bytes(sets, "big") for plane in planes)
+    for a, b in zip(lo, hi):
+        yield a | b << 8
 
 
 def standard_monomials(grid: UniformGrid, A: Iterable[Point]) -> frozenset[Point]:

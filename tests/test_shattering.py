@@ -15,8 +15,9 @@ from gridhilbert import (
     ord_str,
     order_shatters,
     standard_monomials,
+    verification_family,
 )
-from gridhilbert.shattering import downset_size, tau
+from gridhilbert.shattering import _shatter_tables, downset_size, tau
 
 
 def is_downward_closed(points):
@@ -298,7 +299,7 @@ def _grid_set_and_member(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(_grid_set_and_member())
 def test_shattering_is_monotone_and_holds_both_recursion_targets(case):
-    """The lemma that prunes shattering_sweep, on the one-shot route: a
+    """Order shattering is monotone in the set, on the one-shot route: a
     subset shatters no more than its set, and a set that shatters b != 0
     also shatters both recursion targets of b."""
     grid, A, x = case
@@ -309,3 +310,21 @@ def test_shattering_is_monotone_and_holds_both_recursion_targets(case):
             t = tau(b) - 1
             assert b[:t] + (0,) + b[t + 1 :] in shattered
             assert b[:t] + (b[t] - 1,) + b[t + 1 :] in shattered
+
+
+def test_downset_size_is_the_sum_of_the_recursion_targets():
+    """Why shattering_sweep needs no size bound: the downset of b != 0
+    splits into the exponents with position tau(b) at 0 and the rest, one
+    copy of tau(b) below b's, so by induction a set that shatters b has
+    at least downset_size(b) points.  The targets are read off the
+    tables the sweep reads."""
+    for grid in verification_family():
+        bit, steps = _shatter_tables(grid)
+        pts = list(bit)
+        for b, j in list(bit.items())[1:]:
+            need, _, _, j_deleted, j_removed = steps[j]
+            t = tau(b) - 1
+            assert pts[j_deleted] == b[:t] + (0,) + b[t + 1 :]
+            assert pts[j_removed] == b[:t] + (b[t] - 1,) + b[t + 1 :]
+            deleted, removed = downset_size(pts[j_deleted]), downset_size(pts[j_removed])
+            assert need == downset_size(b) == deleted + removed, (grid.spec(), b)

@@ -7,10 +7,10 @@ the point-set sweeps answer with masks of grid points too.  zstar_sweep
 reads its closures off the ranks and zstar_closure tests span
 membership, so that pair compares two exact criteria.  A mismatch is
 reported with its grid, degree and set.  The sweeps' memory is bounded
-too: the shattering sweep refuses a large grid before allocating, and
-the footprint sweep keeps nothing per mask, stores a row only for a set
-without point 0 and takes a Bareiss step only on a pending row that the
-new row writes.
+too: the shattering sweep refuses a large grid before allocating and
+holds one bit per set in each table, and the footprint sweep keeps
+nothing per mask, stores a row only for a set without point 0 and takes
+a Bareiss step only on a pending row that the new row writes.
 """
 
 import gc
@@ -72,7 +72,7 @@ def test_shattering_sweep_refuses_more_than_16_points_before_allocating():
     for arities in [(17,), (3, 6), (2, 2, 2, 2, 2)]:
         with pytest.raises(GridError, match="at most 16 points"):
             next(shattering_sweep(UniformGrid(arities)))
-    # A table for 24 points would take 32 MB.
+    # The tables for 24 points would take 48 MB.
     grid = UniformGrid((2,) * 24)
     tracemalloc.start()
     try:
@@ -82,6 +82,21 @@ def test_shattering_sweep_refuses_more_than_16_points_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_shattering_sweep_of_16_points_peaks_below_768_kb():
+    """The sweep holds one 2^16-bit truth table per multiset, 128 KB in
+    all, the binary digits of one table at a time and two byte planes of
+    one byte per set."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in shattering_sweep(UniformGrid((4, 4))):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 << 10
 
 
 def test_footprint_sweep_of_16_points_peaks_below_256_kb():

@@ -300,8 +300,8 @@ MUTANTS = (
     Mutant(
         "shattering-sweep-reads-group",
         "src/gridhilbert/shattering.py",
-        "if sh[group ^ lower] >> j_deleted & 1 and sh[lower] >> j_removed & 1:",
-        "if sh[group] >> j_deleted & 1 and sh[lower] >> j_removed & 1:",
+        "t |= restrict(T[j_deleted], G & ~cut) & restrict(T[j_removed], G & cut)",
+        "t |= restrict(T[j_deleted], G) & restrict(T[j_removed], G & cut)",
         ("tests/test_sweeps.py",),
     ),
     # Swapping the two target indices (or the two table reads) gives an
@@ -314,34 +314,39 @@ MUTANTS = (
     Mutant(
         "shattering-sweep-one-target-index",
         "src/gridhilbert/shattering.py",
-        "if sh[group ^ lower] >> j_deleted & 1 and sh[lower] >> j_removed & 1:",
-        "if sh[group ^ lower] >> j_removed & 1 and sh[lower] >> j_removed & 1:",
+        "t |= restrict(T[j_deleted], G & ~cut) & restrict(T[j_removed], G & cut)",
+        "t |= restrict(T[j_deleted], G & ~cut) & restrict(T[j_deleted], G & cut)",
         ("tests/test_sweeps.py",),
     ),
     Mutant(
         "shattering-sweep-empty-set-shatters",
         "src/gridhilbert/shattering.py",
-        "    yield sh[0]\n",
-        "    yield 1\n",
+        "T = [(1 << sets) - 2]",
+        "T = [(1 << sets) - 1]",
         ("tests/test_sweeps.py",),
     ),
-    # The monotonicity pruning: a row seeded from a mask that is not a
-    # subset of S, and a size bound one point low.  Dropping the seed
-    # (row = 1) or testing only one of the two targets gives an
-    # equivalent mutant: each only prunes less, and the masks stay the
-    # same.
+    # restrict copies the half without point i onto the half with it,
+    # once per point outside M; the transpose puts multiset j at bit
+    # j & 7 of byte plane j >> 3, the low plane first.
     Mutant(
-        "shattering-sweep-seeds-from-non-subset",
+        "shattering-sweep-restrict-skips-a-point",
         "src/gridhilbert/shattering.py",
-        "sh[S & (S - 1)]",
-        "sh[S - 1]",
+        "        for i in range(n):\n            if not M >> i & 1:\n",
+        "        for i in range(1, n):\n            if not M >> i & 1:\n",
         ("tests/test_sweeps.py",),
     ),
     Mutant(
-        "shattering-sweep-size-bound-one-low",
+        "shattering-sweep-byte-planes-swapped",
         "src/gridhilbert/shattering.py",
-        "fits[S.bit_count()]",
-        "fits[S.bit_count() - 1]",
+        "yield a | b << 8",
+        "yield b | a << 8",
+        ("tests/test_sweeps.py",),
+    ),
+    Mutant(
+        "shattering-sweep-plane-bit-misplaced",
+        "src/gridhilbert/shattering.py",
+        "<< (j & 7)",
+        "<< (j & 7 ^ 1)",
         ("tests/test_sweeps.py",),
     ),
     Mutant(
