@@ -18,7 +18,13 @@ increasing mask order with about two span operations per mask instead
 of a fresh elimination.
 pivot_sweep, the footprint sweep's walk, visits every subset of a list
 of independent rows the same way, keeping each lower row reduced ahead,
-one Bareiss step per stored row that writes it.
+one Bareiss step per stored row that writes it.  A subset whose lowest
+row is 0 or 1 stores no row and pushes no level: it reads its pivots
+off its parent's pending rows 0 and 1, and when both lead at one
+position, row 0's pivot is the first later position where one Bareiss
+step by row 1 would leave a nonzero, found by a zero test per entry.  So
+a subset with lowest row b >= 2 pops b - 2 levels, and n rows store
+2^(n-2) - 1 rows in all.
 The pivot positions of a Span fed the rows of a matrix are the matrix's
 lex-first column basis, the same set a column scan keeps.  One builder,
 binomial_rows, makes every evaluation table, in the binomial basis
@@ -268,10 +274,10 @@ def pivot_sweep(rows: Sequence[Sequence[int]]) -> Iterator[int]:
     The rows are linearly independent and of one length.
 
     The sets form an elimination tree: a stack of levels, one per row of
-    the set but row 0, highest at the bottom, popped and pushed as in
+    the set above row 1, highest at the bottom, popped and pushed as in
     subset_sweep.  A level is its answer and, per row below its lowest
     one, that row (v, scale) as _reduce leaves it after the level's stored
-    rows, whose number is its depth.  Mask m with lowest bit b >= 1 stores
+    rows, whose number is its depth.  Mask m with lowest bit b >= 2 stores
     row b's pending row on the parent level, adds its pivot c to the
     parent's answer and resumes a copy of each lower pending row with
     v[c] != 0 by that row.  The parent keeps its lists for m's siblings
@@ -282,18 +288,31 @@ def pivot_sweep(rows: Sequence[Sequence[int]]) -> Iterator[int]:
     block can fill its span and extend then stops; here every pending row
     is nonzero, since the rows are independent.
 
-    A mask whose lowest bit is row 0, half of all masks, is a leaf: no row
-    lies below it, so no row it stored would ever be read.  A leaf stores
-    nothing and pushes no level.  Its answer is the parent's plus the
-    pivot row 0 would get, the first nonzero position of the parent's
-    pending[0]: that row is already reduced by every row of the parent,
-    and _store pivots a row at its first nonzero entry.  The entries left
-    unscaled there differ from the stored ones only by the nonzero factors
-    prev / q, which change no zero pattern.  A leaf m is odd, so the next
-    mask m + 1 has lowest bit b >= 1 and pops b - 1 levels, those of bits 1
-    to b - 1 of m, where a level per leaf would make it pop b.  Popping one
-    level fewer, rather than pushing a placeholder, keeps only levels that
-    are read on the stack.
+    A mask m whose lowest bit is row 0 or row 1, three masks in four,
+    stores nothing and pushes no level: no row lies below rows 0 and 1,
+    so no row it stored would ever be read.  It answers off the level of
+    m & ~3, on top of the stack, whose pending[0] and pending[1] are
+    already reduced by every row of that level.  _store pivots a row at
+    its first nonzero entry, and the entries left unscaled differ from the
+    stored ones only by the nonzero factors prev / q, which change no zero
+    pattern.  So mask m & ~3 | 1, a leaf, adds c0, the first nonzero
+    position of pending[0], and m & ~3 | 2 adds c1, that of pending[1].
+    Its one child m & ~3 | 3 is a leaf under it and adds c1 and the first
+    nonzero of pending[0] after one Bareiss step by row 1's stored row.
+    That row is zero before c1, so the step writes nothing before c1, and
+    nothing at all when pending[0] is zero at c1: if c0 != c1, c0 stays
+    the first nonzero.  If c0 == c1, the step cancels c1, and row 0's
+    pivot is the first i > c1 with p * cur0[i] != f * cur1[i], where cur
+    is an entry's value v * prev // scale, p = cur1[c1] and f = cur0[c1];
+    the step's exact division by prev changes no zero.  Multiplied by the
+    four scales and divided by prev**2, none of them zero, the test reads
+    v1[c1] * s0[c1] * v0[i] * s1[i] != v0[c1] * s1[c1] * v1[i] * s0[i]
+    on the entries as they stand, and the scan builds nothing.  The three
+    masks come in order, so the third reads c0 and c1 as the first two
+    found them.  The third is m & ~3 | 3, so the next mask has lowest bit
+    b >= 2 and pops b - 2 levels, those of bits 2 to b - 1, where a level
+    per mask would make it pop b.  Popping two levels fewer, rather than
+    pushing placeholders, keeps only levels that are read on the stack.
     """
     n = len(rows)
     positions = range(len(rows[0]) if rows else 0)
@@ -301,12 +320,28 @@ def pivot_sweep(rows: Sequence[Sequence[int]]) -> Iterator[int]:
     stack = [(0, [(list(row), [1] * len(positions)) for row in rows])]
     yield 0
     for mask in range(1, 1 << n):
-        b = (mask & -mask).bit_length() - 1
-        if not b:
+        low = mask & 3
+        if low:
             answer, pending = stack[-1]
-            yield answer | 1 << next(compress(positions, pending[0][0]))
+            if low == 1:
+                c0 = next(compress(positions, pending[0][0]))
+                yield answer | 1 << c0
+            elif low == 2:
+                c1 = next(compress(positions, pending[1][0]))
+                yield answer | 1 << c1
+            else:
+                if c0 == c1:
+                    (v0, s0), (v1, s1) = pending[0], pending[1]
+                    x, y = v1[c1] * s0[c1], v0[c1] * s1[c1]
+                    c0 = next(
+                        i
+                        for i in positions[c1 + 1 :]
+                        if x * v0[i] * s1[i] != y * v1[i] * s0[i]
+                    )
+                yield answer | 1 << c1 | 1 << c0
             continue
-        del stack[len(stack) - b + 1 :]
+        b = (mask & -mask).bit_length() - 1
+        del stack[len(stack) - b + 2 :]
         answer, pending = stack[-1]
         rank = len(stack) - 1
         span.truncate(rank)

@@ -399,11 +399,14 @@ def test_subset_sweep_matches_a_fresh_span_per_mask():
 
 def test_pivot_sweep_matches_a_fresh_span_per_mask():
     """Independent rows that are no grid table: fewer rows than positions,
-    half the entries zero so the pivots scatter, the others up to 10^6."""
+    half the entries zero so the pivots scatter, the others up to 10^6.
+    Then hand-built rows whose rows 0 and 1 lead at one position, so a set
+    holding both takes row 0's pivot from the scan past that position."""
     rng = random.Random(11)
+    cases = []
     for _ in range(40):
-        length = rng.randint(1, 7)
-        n = rng.randint(0, min(length, 5))
+        length = rng.randint(1, 8)
+        n = rng.randint(0, min(length, 6))
         while True:
             rows = [
                 [rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(length)]
@@ -411,6 +414,33 @@ def test_pivot_sweep_matches_a_fresh_span_per_mask():
             ]
             if len(Span(length).extend(rows)) == n:
                 break
+        cases.append((length, rows))
+    # Row 2 stores pivot 0 with entry 2, so prev is 2.  Row 0 is reduced
+    # by it and holds (0, 2, 2, 2, 0) at scales (2, 2, 1, 1, 1); row 1,
+    # zero at 0, is shared as it stands, at scale 1.  Both lead at
+    # position 1; row 1 stores (0, 2, 2, 0, 2) with pivot entry 2, and its
+    # step on row 0 cancels positions 1 and 2 and leaves 2 at position 3,
+    # where row 1 is zero.  Read without its scales, position 2 would not
+    # cancel.
+    cases.append((5, [[2, 2, 1, 1, 0], [0, 1, 1, 0, 1], [2, 1, 0, 0, 0]]))
+    # Rows 0 and 1 share their lead at the root and under every set of
+    # the other four rows.
+    cases.append(
+        (
+            6,
+            [
+                [3, 6, 1, 4, 0, 5],
+                [3, 2, 0, 4, 2, 0],
+                [0, 2, 3, 0, 0, 1],
+                [2, 0, 0, 1, 0, 3],
+                [0, 0, 1, 0, 2, 0],
+                [5, 0, 0, 0, 0, 7],
+            ],
+        )
+    )
+    for length, rows in cases:
+        n = len(rows)
+        assert len(Span(length).extend(rows)) == n
         masks = list(pivot_sweep(rows))
         assert len(masks) == 1 << n
         for mask, pivots in enumerate(masks):

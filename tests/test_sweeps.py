@@ -9,8 +9,8 @@ membership, so that pair compares two exact criteria.  A mismatch is
 reported with its grid, degree and set.  The sweeps' memory is bounded
 too: the shattering sweep refuses a large grid before allocating and
 holds one bit per set in each table, and the footprint sweep keeps
-nothing per mask, stores a row only for a set without point 0 and takes
-a Bareiss step only on a pending row that the new row writes.
+nothing per mask, stores a row only for a set without points 0 and 1
+and takes a Bareiss step only on a pending row that the new row writes.
 """
 
 import gc
@@ -100,8 +100,9 @@ def test_shattering_sweep_of_16_points_peaks_below_768_kb():
 
 
 def test_footprint_sweep_of_16_points_peaks_below_256_kb():
-    """The elimination tree holds one level per point of the set, each
-    with the pending rows of the points below it, and nothing per mask."""
+    """The elimination tree holds one level per point of the set above
+    point 1, each with the pending rows of the points below it, and
+    nothing per mask."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -114,15 +115,18 @@ def test_footprint_sweep_of_16_points_peaks_below_256_kb():
 
 
 @pytest.mark.parametrize(
-    "arities, stores, reduces", [((2, 2, 2), 127, 155), ((3, 4), 2047, 2771)]
+    "arities, stores, reduces", [((2, 2, 2), 63, 117), ((3, 4), 1023, 2082)]
 )
-def test_footprint_sweep_stores_a_row_only_for_sets_without_point_0(
+def test_footprint_sweep_stores_rows_only_for_sets_above_point_1(
     monkeypatch, arities, stores, reduces
 ):
-    """A set holding point 0 is a leaf of the elimination tree and stores
-    nothing, so an n-point grid stores 2^(n-1) - 1 rows, one per nonempty
-    set of the points above point 0.  A pending row that the new row does
-    not write is shared with the parent level and costs no Bareiss step."""
+    """A set whose lowest point is 0 or 1 stores nothing: a set holding
+    point 0 is a leaf of the elimination tree, and a set whose lowest
+    point is 1 answers, with its one leaf, from its parent's pending rows
+    of points 0 and 1.  So an n-point grid stores 2^(n-2) - 1 rows, one
+    per nonempty set of the points above point 1.  A pending row that the
+    new row does not write is shared with the parent level and costs no
+    Bareiss step."""
     calls = {"_store": 0, "_reduce": 0}
 
     def counted(name):
@@ -138,5 +142,5 @@ def test_footprint_sweep_stores_a_row_only_for_sets_without_point_0(
     counted("_reduce")
     grid = UniformGrid(arities)
     assert sum(1 for _ in footprint_sweep(grid)) == 1 << grid.size
-    assert calls["_store"] == stores == (1 << grid.size - 1) - 1
+    assert calls["_store"] == stores == (1 << grid.size - 2) - 1
     assert calls["_reduce"] == reduces

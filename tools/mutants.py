@@ -293,9 +293,36 @@ MUTANTS = (
     Mutant(
         "footprint-leaf-answer-not-inherited",
         "src/gridhilbert/linalg.py",
-        "yield answer | 1 << next(compress(positions, pending[0][0]))",
-        "yield 1 << next(compress(positions, pending[0][0]))",
+        "yield answer | 1 << c0",
+        "yield 1 << c0",
         ("tests/test_sweeps.py",),
+    ),
+    # A set whose lowest row is 1 pushes no level, and its leaf reads row
+    # 0's pivot off one Bareiss step by row 1: a mask with lowest bit
+    # b >= 2 popping the b - 1 levels of a tree with a level per such set,
+    # a leaf that keeps row 0's lead where row 1 shares it, and a leaf
+    # answer without row 1's pivot.  A scan that starts at c1 in place of
+    # c1 + 1 is equivalent: the step cancels that entry.
+    Mutant(
+        "footprint-pops-a-level-per-row-1-set",
+        "src/gridhilbert/linalg.py",
+        "del stack[len(stack) - b + 2 :]",
+        "del stack[len(stack) - b + 1 :]",
+        ("tests/test_linalg.py::test_pivot_sweep_matches_a_fresh_span_per_mask",),
+    ),
+    Mutant(
+        "footprint-pair-leaf-skips-the-scan",
+        "src/gridhilbert/linalg.py",
+        "                if c0 == c1:\n",
+        "                if False:\n",
+        ("tests/test_linalg.py::test_pivot_sweep_matches_a_fresh_span_per_mask",),
+    ),
+    Mutant(
+        "footprint-pair-leaf-drops-row-1-pivot",
+        "src/gridhilbert/linalg.py",
+        "yield answer | 1 << c1 | 1 << c0",
+        "yield answer | 1 << c0",
+        ("tests/test_linalg.py::test_pivot_sweep_matches_a_fresh_span_per_mask",),
     ),
     Mutant(
         "shattering-sweep-reads-group",
