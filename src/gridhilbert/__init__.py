@@ -28,7 +28,6 @@ from .errors import (
     DegreeOutOfRange,
     DuplicateEntries,
     EmptyArities,
-    EmptyMultiset,
     GridError,
     GridTooLarge,
     LengthMismatch,

@@ -42,10 +42,6 @@ class SetTooSmall(GridError):
     """A weight set does not have the cardinality the operation needs."""
 
 
-class EmptyMultiset(GridError):
-    """The all-zero multiset has no largest element."""
-
-
 class GridTooLarge(GridError):
     """A grid has more points than an exhaustive sweep over it allows."""
 

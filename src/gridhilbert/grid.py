@@ -204,10 +204,10 @@ def parse_points(text: str) -> tuple[Point, ...]:
 def parse_weight_set(text: str, grid: UniformGrid) -> tuple[int, ...]:
     """Parse a weight set of the grid such as '0,2-4,7' into a sorted tuple.
 
-    Tokens are nonnegative integers or inclusive dash ranges; the empty
-    string denotes the empty set.  Every token is checked against the
-    grid's weights before any range is expanded, and the smallest weight
-    outside them is the one reported.
+    Tokens are nonnegative integers or inclusive dash ranges, with spaces
+    around a number ignored; the empty string denotes the empty set.
+    Every token is checked against the grid's weights before any range
+    is expanded, and the smallest weight outside them is the one reported.
     """
     text = text.strip()
     if not text:
@@ -217,8 +217,8 @@ def parse_weight_set(text: str, grid: UniformGrid) -> tuple[int, ...]:
         token = token.strip()
         lo, dash, hi = token.partition("-")
         error = f"bad weight-set token {token!r}"
-        a = _decimal(lo, error)
-        b = _decimal(hi, error) if dash else a
+        a = _decimal(lo.strip(), error)
+        b = _decimal(hi.strip(), error) if dash else a
         if a > b:
             raise ParseError(f"{error}: empty range")
         spans.append((a, b))

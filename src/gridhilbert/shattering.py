@@ -16,16 +16,22 @@ The recursion runs on bitmasks: bit i of a Python int stands for the
 i-th grid point in lex order.  Per coordinate t, a grid's tables hold
 the masks G of the tail groups (points sharing a[t+1:]) and the cut
 masks {a : a[t] < v} for v = 1 .. k_t - 1.  A group of S is S & G, its
-size a popcount, and its cuts are tried by ascending v, skipping a cut
-whose lower part repeats the previous one and stopping once the lower
-part is the whole group.  ord_str is the one-shot route, the plain
-recursion with a memo that lives for one call, and order_shatters asks
-whether b is in its answer.  The shattering sweep answers every point
-set of a grid of at most 16 points in mask order.  It runs the same
-recursion on every set at once: per multiset, one truth table with a bit
-per point set, filled in lex index order, since both recursion targets
-come earlier.  A part of a cut is a restriction of the set to the part's
-mask, so a part's answers are the target's table read at S & mask.
+size a popcount, and A shatters b when some group and cut, tried by
+ascending v, give two parts that shatter their targets.  No cut needs
+to be skipped: the empty set shatters nothing, so a cut that leaves a
+part empty fails, and a cut whose parts repeat the previous cut's gives
+the same answer again.  The downset size prod(b_i + 1) is the sum of
+the two targets' downset sizes, so by induction a set that shatters b
+has at least that many points.  ord_str is the one-shot route: that
+recursion one set at a time, with the downset size as a bound on the
+set and on each group, and a memo that lives for one call;
+order_shatters asks whether b is in its answer.  The shattering sweep
+answers every point set of a grid of at most 16 points in mask order.
+It runs the same recursion, without the bounds, on every set at once:
+per multiset, one truth table with a bit per point set, filled in lex
+index order, since both recursion targets come earlier.  A part of a
+cut is a restriction of the set to the part's mask, so a part's answers
+are the target's table read at S & mask.
 
 Standard monomials are computed by a separate route with no shattering
 in it: scan the monomials X^alpha for alpha in the grid in ascending lex
@@ -52,7 +58,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import EmptyMultiset, GridTooLarge
+from .errors import GridTooLarge
 from .grid import Point, UniformGrid
 from .linalg import _GRID_CACHE_SIZE, Span, binomial_rows, pivot_sweep
 
@@ -60,25 +66,12 @@ from .linalg import _GRID_CACHE_SIZE, Span, binomial_rows, pivot_sweep
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def tau(b: Iterable[int]) -> int:
-    """Largest position (1-based) with a nonzero entry."""
-    b = tuple(b)
-    for i in range(len(b) - 1, -1, -1):
-        if b[i] >= 1:
-            return i + 1
-    raise EmptyMultiset("the all-zero multiset has no largest element")
-
-
-def downset_size(b: Iterable[int]) -> int:
-    """Number of componentwise-smaller-or-equal exponents: prod (b_i + 1)."""
-    return math.prod(v + 1 for v in b)
-
-
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _shatter_tables(grid: UniformGrid) -> tuple[dict[Point, int], tuple]:
     """Bit of each point, and per multiset b, indexed like the points, its
-    downset size, the group and cut masks of t = tau(b) - 1, and the
-    indices of b with b[t] lowered to 0 and to b[t] - 1."""
+    downset size prod(b_i + 1), the group and cut masks of its last
+    nonzero position t, and the indices of b with b[t] lowered to 0 and
+    to b[t] - 1."""
     n = grid.size
     tables = []
     for t, k in enumerate(grid.arities):
@@ -89,9 +82,9 @@ def _shatter_tables(grid: UniformGrid) -> tuple[dict[Point, int], tuple]:
     bit = {p: i for i, p in enumerate(grid.points())}
     steps: list[tuple | None] = [None]
     for b, j in list(bit.items())[1:]:
-        t = tau(b) - 1
+        t = max(i for i, v in enumerate(b) if v)
         s, groups, cuts = tables[t]
-        steps.append((downset_size(b), groups, cuts, j - b[t] * s, j - s))
+        steps.append((math.prod(v + 1 for v in b), groups, cuts, j - b[t] * s, j - s))
     return bit, tuple(steps)
 
 
@@ -106,21 +99,14 @@ def _shatters(steps: tuple, S: int, j: int, memo: dict[tuple[int, int], bool]) -
         return cached
     for G in groups:
         group = S & G
-        if group.bit_count() < need:
-            continue
-        prev = 0
-        for cut in cuts:
-            lower = group & cut
-            if lower == prev:
-                continue
-            if lower == group:
-                break
-            prev = lower
-            if _shatters(steps, group ^ lower, j_deleted, memo) and _shatters(
-                steps, lower, j_removed, memo
-            ):
-                memo[S, j] = True
-                return True
+        if group.bit_count() >= need:
+            for cut in cuts:
+                lower = group & cut
+                if _shatters(steps, group ^ lower, j_deleted, memo) and _shatters(
+                    steps, lower, j_removed, memo
+                ):
+                    memo[S, j] = True
+                    return True
     memo[S, j] = False
     return False
 
@@ -159,10 +145,7 @@ def shattering_sweep(grid: UniformGrid) -> Iterator[int]:
     G & cut), where restrict(T, M) reads bit S of T at S & M: for each
     point outside M it copies the half of T without the point onto the
     half with it.  Both targets have lower indices, so the tables fill in
-    index order.  An empty part reads bit 0, which no table holds, so
-    _shatters' skip and break are not needed.  Nor is its size bound:
-    downset_size(b) is the sum of its two targets' downset sizes, so by
-    induction on j a set in T[j] has at least downset_size(b) points.
+    index order.  An empty part reads bit 0, which no table holds.
     The tables are then transposed: multiset j goes to bit j & 7 of byte
     plane j >> 3, which holds one byte per set.  Grids of more than 16
     points are refused before any table is built.

@@ -164,6 +164,8 @@ def test_parse_weight_set():
     assert parse_weight_set("3", grid) == (3,)
     assert parse_weight_set("", grid) == ()
     assert parse_weight_set("4,1,1", grid) == (1, 4)
+    assert parse_weight_set(" 1 , 3 ", grid) == (1, 3)
+    assert parse_weight_set("1 - 3", grid) == (1, 2, 3)
     with pytest.raises(ParseError):
         parse_weight_set("2-", grid)
     with pytest.raises(ParseError):

@@ -11,6 +11,11 @@ the sha256 of their answers.
         default 16: 42 tuples.  Both hash the masks the same way, and
         criterion 10 says the two sweeps agree, so the two digests are
         equal on a correct tree.
+    ord_str, standard_monomials         the one-shot routes' answers, as
+        masks in mask order like the sweep lines, for every point set
+        of every arity tuple of at most min(N, 12) points: 27 tuples and
+        40,332 sets at the default.  The two digests are equal on a
+        correct tree, and at N <= 12 equal to the sweeps' too.
     rank_oracle_sweep, zstar_sweep      every weight set's answer on
         every grid and degree of the default verification family: 108
         (grid, degree) pairs.
@@ -78,7 +83,12 @@ def fingerprint(max_points: int) -> list[str]:
     from gridhilbert import UniformGrid
     from gridhilbert.closure import zstar_sweep
     from gridhilbert.hilbert import rank_oracle_sweep
-    from gridhilbert.shattering import footprint_sweep, shattering_sweep
+    from gridhilbert.shattering import (
+        footprint_sweep,
+        ord_str,
+        shattering_sweep,
+        standard_monomials,
+    )
     from gridhilbert.verify import SUITES, Limits, verification_family, verify_suite
 
     grids = [UniformGrid(t) for t in arity_tuples(max_points)]
@@ -87,12 +97,23 @@ def fingerprint(max_points: int) -> list[str]:
     def per_grid(sweep):
         return (f"{g.spec()} {' '.join(map(str, sweep(g)))}" for g in grids)
 
+    def per_set(route):
+        for g in grids:
+            if g.size <= 12:
+                pts = tuple(g.points())
+                bit = {p: 1 << i for i, p in enumerate(pts)}
+                sets = ([p for p in pts if S & bit[p]] for S in range(1 << len(pts)))
+                answers = (sum(map(bit.get, route(g, A))) for A in sets)
+                yield f"{g.spec()} {' '.join(map(str, answers))}"
+
     def per_pair(sweep, show):
         return (f"{g.spec()} {d} {' '.join(map(show, sweep(g, d)))}" for g, d in pairs)
 
     quantities = {
         "shattering_sweep": per_grid(shattering_sweep),
         "footprint_sweep": per_grid(footprint_sweep),
+        "ord_str": per_set(ord_str),
+        "standard_monomials": per_set(standard_monomials),
         "rank_oracle_sweep": per_pair(rank_oracle_sweep, str),
         "zstar_sweep": per_pair(zstar_sweep, lambda cl: ",".join(map(str, sorted(cl)))),
     }

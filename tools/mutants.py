@@ -207,6 +207,36 @@ MUTANTS = (
         "s = math.prod(grid.arities[t + 2 :])",
         ("tests/test_shattering.py",),
     ),
+    # The one-shot recursion tries every cut of every group that keeps
+    # at least the downset size, upper part first, under two size bounds.
+    Mutant(
+        "shatters-tries-only-the-first-cut",
+        "src/gridhilbert/shattering.py",
+        "            for cut in cuts:\n                lower = group & cut\n",
+        "            for cut in cuts[:1]:\n                lower = group & cut\n",
+        ("tests/test_shattering.py::test_bitmask_recursion_matches_frozenset_reference",),
+    ),
+    Mutant(
+        "shatters-size-bound-one-high",
+        "src/gridhilbert/shattering.py",
+        "if S.bit_count() < need:",
+        "if S.bit_count() <= need:",
+        ("tests/test_shattering.py::test_bitmask_recursion_matches_frozenset_reference",),
+    ),
+    Mutant(
+        "shatters-group-bound-one-high",
+        "src/gridhilbert/shattering.py",
+        "if group.bit_count() >= need:",
+        "if group.bit_count() > need:",
+        ("tests/test_shattering.py::test_bitmask_recursion_matches_frozenset_reference",),
+    ),
+    Mutant(
+        "shatters-one-target-index",
+        "src/gridhilbert/shattering.py",
+        "_shatters(steps, group ^ lower, j_deleted, memo)",
+        "_shatters(steps, group ^ lower, j_removed, memo)",
+        ("tests/test_shattering.py::test_bitmask_recursion_matches_frozenset_reference",),
+    ),
     Mutant(
         "extend-stops-one-early",
         "src/gridhilbert/linalg.py",
