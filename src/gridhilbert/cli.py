@@ -92,13 +92,17 @@ def _cmd_closure(args: argparse.Namespace, grid: UniformGrid) -> _Output:
     ]
 
 
-def _downset(args: argparse.Namespace, grid: UniformGrid, route) -> _Output:
+def _downset(args: argparse.Namespace, grid: UniformGrid) -> _Output:
+    """sm by shattering.standard_monomials, ordstr by shattering.ord_str."""
     if (args.set is None) == (args.points is None):
         raise ParseError("provide exactly one of --set and --points")
     if args.set is not None:
         points = grid.unfold(parse_weight_set(args.set, grid))
     else:
         points = parse_points(args.points)
+    route = (
+        _shattering.standard_monomials if args.command == "sm" else _shattering.ord_str
+    )
     ordered = sorted(route(grid, points))
     payload = dict(
         grid=grid.spec(),
@@ -107,14 +111,6 @@ def _downset(args: argparse.Namespace, grid: UniformGrid, route) -> _Output:
         size=len(ordered),
     )
     return payload, [_fmt_weights(b) for b in ordered]
-
-
-def _cmd_sm(args: argparse.Namespace, grid: UniformGrid) -> _Output:
-    return _downset(args, grid, _shattering.standard_monomials)
-
-
-def _cmd_ordstr(args: argparse.Namespace, grid: UniformGrid) -> _Output:
-    return _downset(args, grid, _shattering.ord_str)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -182,8 +178,8 @@ _COMMANDS = {
     "be-enum": (_cmd_be_enum, "pairing enumeration of a set", _WEIGHTED),
     "profile": (_cmd_profile, "degree profile of a large set", _WEIGHTED),
     "closure": (_cmd_closure, "both closure routes for a set", _WEIGHTED),
-    "sm": (_cmd_sm, "standard monomials of a point set", _DOWNSET),
-    "ordstr": (_cmd_ordstr, "order-shattered multisets of a point set", _DOWNSET),
+    "sm": (_downset, "standard monomials of a point set", _DOWNSET),
+    "ordstr": (_downset, "order-shattered multisets of a point set", _DOWNSET),
     "verify": (_cmd_verify, "run a verification suite", _VERIFY),
 }
 

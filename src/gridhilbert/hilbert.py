@@ -88,9 +88,7 @@ def hilbert_rank_oracle(grid: UniformGrid, d: int, E: Iterable[int]) -> int:
 def rank_oracle_sweep(grid: UniformGrid, d: int) -> Iterator[int]:
     """hilbert_rank_oracle(grid, d, E) for every weight set E, E given by
     the bits of mask in range(1 << (N + 1)), in mask order."""
-    span, layers = linalg.layer_span(grid, d)
-    for _ in linalg.subset_sweep(span, layers):
-        yield span.rank
+    yield from linalg.subset_sweep(*linalg.layer_span(grid, d))
 
 
 def hilbert_cube_closed(n: int, d: int, E: Iterable[int]) -> int:

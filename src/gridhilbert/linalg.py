@@ -13,9 +13,9 @@ read as it stands, and a step between two unit pivots is a plain
 subtraction; both write the general step's integer.  A stored row, one
 record of one list, depends only on the rows before it, so
 Span.truncate(r) leaves exactly the span of the first r stored rows;
-subset_sweep uses that to visit every union of a list of blocks in
-increasing mask order with about two span operations per mask instead
-of a fresh elimination.
+subset_sweep uses that to yield the rank of every union of a list of
+blocks in increasing mask order with about two span operations per mask
+instead of a fresh elimination.
 pivot_sweep, the footprint sweep's walk, visits every subset of a list
 of independent rows the same way, keeping each lower row reduced ahead,
 one Bareiss step per stored row that writes it.  A subset whose lowest
@@ -248,8 +248,8 @@ class Span:
 def subset_sweep(
     span: Span, blocks: Sequence[Sequence[Sequence[int]]]
 ) -> Iterator[int]:
-    """Every mask in range(1 << len(blocks)), in increasing order, with span
-    holding its initial rows plus the vectors of the blocks whose bits are set.
+    """For every mask in range(1 << len(blocks)), in increasing order, the
+    rank of span with its initial rows and the blocks whose bits are set.
 
     The blocks in the span form a stack, highest index at the bottom.  From
     mask m - 1 to m, the blocks of the bits below m's lowest set bit b are
@@ -258,14 +258,14 @@ def subset_sweep(
     fresh span fed the blocks in that order would hold.
     """
     floors = [span.rank]
-    yield 0
+    yield floors[0]
     for mask in range(1, 1 << len(blocks)):
         b = (mask & -mask).bit_length() - 1
         del floors[len(floors) - b :]
         span.truncate(floors[-1])
         span.extend(blocks[b])
         floors.append(span.rank)
-        yield mask
+        yield span.rank
 
 
 def pivot_sweep(rows: Sequence[Sequence[int]]) -> Iterator[int]:
@@ -275,18 +275,18 @@ def pivot_sweep(rows: Sequence[Sequence[int]]) -> Iterator[int]:
 
     The sets form an elimination tree: a stack of levels, one per row of
     the set above row 1, highest at the bottom, popped and pushed as in
-    subset_sweep.  A level is its answer and, per row below its lowest
-    one, that row (v, scale) as _reduce leaves it after the level's stored
-    rows, whose number is its depth.  Mask m with lowest bit b >= 2 stores
-    row b's pending row on the parent level, adds its pivot c to the
-    parent's answer and resumes a copy of each lower pending row with
-    v[c] != 0 by that row.  The parent keeps its lists for m's siblings
-    and shares each row with v[c] == 0: no list is written once on a
-    level, since _store only reads it and _reduce runs only on fresh
-    copies.  Each row gets add's steps, in order, so the rows, pivots and
-    answers are a fresh Span's.  subset_sweep holds no rows ahead, since a
-    block can fill its span and extend then stops; here every pending row
-    is nonzero, since the rows are independent.
+    subset_sweep, which yields ranks.  A level is its answer and, per row
+    below its lowest one, that row (v, scale) as _reduce leaves it after
+    the level's stored rows, whose number is its depth.  Mask m with
+    lowest bit b >= 2 stores row b's pending row on the parent level, adds
+    its pivot c to the parent's answer and resumes a copy of each lower
+    pending row with v[c] != 0 by that row.  The parent keeps its lists
+    for m's siblings and shares each row with v[c] == 0: no list is
+    written once on a level, since _store only reads it and _reduce runs
+    only on fresh copies.  Each row gets add's steps, in order, so the
+    rows, pivots and answers are a fresh Span's.  subset_sweep holds no
+    rows ahead, since a block can fill its span and extend then stops;
+    here every pending row is nonzero, since the rows are independent.
 
     A mask m whose lowest bit is row 0 or row 1, three masks in four,
     stores nothing and pushes no level: no row lies below rows 0 and 1,

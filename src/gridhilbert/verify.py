@@ -261,20 +261,19 @@ def _interval_rank(grid: UniformGrid, limits: Limits) -> Iterator[dict | None]:
         n_high = rng.randint(0, min(N - d, len(span)))
         high_pos = sorted(rng.sample(span, n_high))
         high_vals = sorted(rng.sample(range(d + 1, N + 1), n_high), reverse=True)
-        assign = {t: t for t in span}
+        values = list(span)
         for t, v in zip(high_pos, high_vals):
-            assign[t] = v
-        values = [assign[t] for t in span]
-        E = sorted(assign.values())
+            values[t - c] = v
+        E = sorted(values)
         compatible = hilbert.is_interval_compatible(c, d, values)
         key = (c, d, *E)
         if key not in ranks:
             ranks[key] = hilbert.rank_block(grid, span, E)
         got = ranks[key]
-        want = sum(min(sizes[t], sizes[assign[t]]) for t in span)
+        want = sum(min(sizes[t], sizes[v]) for t, v in zip(span, values))
         yield None if compatible and got == want else dict(
             grid=grid.spec(), interval=[c, d],
-            assignment=[[t, assign[t]] for t in span],
+            assignment=[[t, v] for t, v in zip(span, values)],
             compatible=compatible, rank=str(got), expected=str(want),
         )
 

@@ -122,14 +122,11 @@ def test_rank_on_all_small_eval_matrices():
 
 
 def _greedy_columns(entries, n_cols):
-    """Leftmost greedy independent column set, by Fraction rank."""
-    chosen = []
-    for col in range(n_cols):
-        trial = chosen + [col]
-        sub = [[row[c] for c in trial] for row in entries]
-        if _reference_rank(sub) == len(trial):
-            chosen.append(col)
-    return tuple(chosen)
+    """Leftmost greedy independent column set: each column independent of
+    the columns kept before it, by one pass over Fraction."""
+    echelon = _FractionEchelon()
+    columns = ([row[col] for row in entries] for col in range(n_cols))
+    return tuple(c for c, v in enumerate(columns) if echelon.add(v) is not None)
 
 
 def test_rank_pivot_cols_match_greedy_column_scan():
@@ -386,15 +383,16 @@ def test_subset_sweep_matches_a_fresh_span_per_mask():
             for _ in range(rng.randint(0, 5))
         ]
         span = Span(length)
-        masks = []
-        for mask in subset_sweep(span, blocks):
-            masks.append(mask)
+        count = 0
+        for mask, got in enumerate(subset_sweep(span, blocks)):
+            count += 1
             fresh = Span(length)
             for b in reversed(range(len(blocks))):
                 if mask >> b & 1:
                     fresh.extend(blocks[b])
+            assert got == fresh.rank, (blocks, mask)
             assert span._rows == fresh._rows, (blocks, mask)
-        assert masks == list(range(1 << len(blocks)))
+        assert count == 1 << len(blocks)
 
 
 def test_pivot_sweep_matches_a_fresh_span_per_mask():

@@ -106,15 +106,6 @@ def test_standard_monomials_match_the_power_basis_scan():
         assert set(standard_monomials(grid, A)) == _power_basis_footprint(grid, A)
 
 
-def test_downset_container_protocol():
-    grid = UniformGrid((2, 2))
-    ds = ord_str(grid, grid.layer(1))
-    assert len(ds) == 2
-    assert (0, 1) in ds
-    assert (1, 0) not in ds
-    assert sorted(ds) == [(0, 0), (0, 1)]
-
-
 def test_routes_agree_exhaustively():
     """Shattering recursion vs the lex footprint scan, every subset.
 

@@ -38,9 +38,11 @@ def test_fingerprint_at_8_points(monkeypatch, capsys):
     """The tool runs on this tree, in process: one line per quantity.  The
     two point-set sweeps hash to one digest, since criterion 10 says they
     agree, and so do the two one-shot routes, which at 8 points cover the
-    sweeps' grids.  Each suite is run once at Limits(), in SUITES order,
-    then each seeded suite at the second seed.  The suites are recorded,
-    not run: tests/test_acceptance.py pins their checked counts."""
+    sweeps' grids.  The rank oracle and the z*-closure, called once per
+    weight set, hash as their sweeps do.  Each suite is run once at
+    Limits(), in SUITES order, then each seeded suite at the second seed.
+    The suites are recorded, not run: tests/test_acceptance.py pins their
+    checked counts."""
     calls = []
 
     def recorder(name, limits):
@@ -51,22 +53,26 @@ def test_fingerprint_at_8_points(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert fingerprint.main(["--max-points", "8"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert [(name, int(count)) for name, count, _ in rows[:6]] == [
+    assert [(name, int(count)) for name, count, _ in rows[:8]] == [
         ("shattering_sweep", 13),
         ("footprint_sweep", 13),
         ("ord_str", 13),
         ("standard_monomials", 13),
         ("rank_oracle_sweep", 108),
         ("zstar_sweep", 108),
+        ("hilbert_rank_oracle", 108),
+        ("zstar_closure", 108),
     ]
     second = [(name, Limits(seed=5303)) for name in ("interval-rank", "shattering")]
-    assert [name for name, _, _ in rows[6:]] == [
+    assert [name for name, _, _ in rows[8:]] == [
         *(f"verify:{name}" for name in SUITES),
         *(f"verify@5303:{name}" for name, _ in second),
     ]
     assert calls == [(name, Limits()) for name in SUITES] + second
     assert rows[0][2] == rows[1][2]
     assert rows[2][2] == rows[3][2] == rows[0][2]
+    assert rows[6][2] == rows[4][2]
+    assert rows[7][2] == rows[5][2]
     assert all(len(digest) == 64 for _, _, digest in rows)
 
 

@@ -19,6 +19,11 @@ the sha256 of their answers.
     rank_oracle_sweep, zstar_sweep      every weight set's answer on
         every grid and degree of the default verification family: 108
         (grid, degree) pairs.
+    hilbert_rank_oracle, zstar_closure  the one-shot routes' answers on
+        the same 108 pairs, one call per weight set in mask order (10,104
+        sets), printed as the sweep lines print them.  Each digest equals
+        its sweep's on a correct tree; for zstar_closure that compares
+        its span membership test with the sweep's rank criterion.
     verify:<suite>                      the SuiteResult of each suite of
         ``verify all`` at ``Limits()``, counterexample included; the
         count is the suite's ``checked``.
@@ -81,8 +86,8 @@ def _digest(items) -> tuple[int, str]:
 def fingerprint(max_points: int) -> list[str]:
     """One line per quantity, of the gridhilbert on sys.path."""
     from gridhilbert import UniformGrid
-    from gridhilbert.closure import zstar_sweep
-    from gridhilbert.hilbert import rank_oracle_sweep
+    from gridhilbert.closure import zstar_closure, zstar_sweep
+    from gridhilbert.hilbert import hilbert_rank_oracle, rank_oracle_sweep
     from gridhilbert.shattering import (
         footprint_sweep,
         ord_str,
@@ -109,13 +114,28 @@ def fingerprint(max_points: int) -> list[str]:
     def per_pair(sweep, show):
         return (f"{g.spec()} {d} {' '.join(map(show, sweep(g, d)))}" for g, d in pairs)
 
+    def one_shot(route):
+        """route(g, d, E) for every weight set E, in mask order, as a sweep."""
+
+        def sweep(g, d):
+            weights = range(g.max_weight + 1)
+            for mask in range(1 << len(weights)):
+                yield route(g, d, [w for w in weights if mask >> w & 1])
+
+        return sweep
+
+    def show_set(weights):
+        return ",".join(map(str, sorted(weights)))
+
     quantities = {
         "shattering_sweep": per_grid(shattering_sweep),
         "footprint_sweep": per_grid(footprint_sweep),
         "ord_str": per_set(ord_str),
         "standard_monomials": per_set(standard_monomials),
         "rank_oracle_sweep": per_pair(rank_oracle_sweep, str),
-        "zstar_sweep": per_pair(zstar_sweep, lambda cl: ",".join(map(str, sorted(cl)))),
+        "zstar_sweep": per_pair(zstar_sweep, show_set),
+        "hilbert_rank_oracle": per_pair(one_shot(hilbert_rank_oracle), str),
+        "zstar_closure": per_pair(one_shot(zstar_closure), show_set),
     }
     lines = []
     for name, items in quantities.items():

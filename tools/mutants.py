@@ -268,6 +268,13 @@ MUTANTS = (
         ("tests/test_sweeps.py",),
     ),
     Mutant(
+        "subset-sweep-yields-the-parent-rank",
+        "src/gridhilbert/linalg.py",
+        "yield span.rank",
+        "yield floors[-2]",
+        ("tests/test_sweeps.py",),
+    ),
+    Mutant(
         "length-check-after-full-return",
         "src/gridhilbert/linalg.py",
         "        self._check_length(v)\n"
@@ -706,6 +713,13 @@ MUTANTS = (
         "src/gridhilbert/verify.py",
         "key = (c, d, *E)",
         "key = tuple(E)",
+        ("tests/test_golden.py::test_interval_rank_ranks_each_distinct_block_once",),
+    ),
+    Mutant(
+        "interval-draw-shifts-a-position",
+        "src/gridhilbert/verify.py",
+        "values[t - c] = v",
+        "values[t - c - 1] = v",
         ("tests/test_golden.py::test_interval_rank_ranks_each_distinct_block_once",),
     ),
     Mutant(
